@@ -1,8 +1,8 @@
 GO ?= go
 
 .PHONY: all build vet test race bench bench-json bench-diff codec-check \
-	obs-check cluster-check fmt-check ci lint lint-gsvet lint-staticcheck \
-	lint-govulncheck lint-timing lint-json
+	obs-check cluster-check perfbench-check fmt-check ci lint lint-gsvet \
+	lint-staticcheck lint-govulncheck lint-timing lint-json
 
 # Benchmark knobs for bench-json: runs to average and time per run.
 # CI smoke uses BENCHTIME=1x; real measurements want the defaults or more.
@@ -89,6 +89,13 @@ cluster-check:
 	$(GO) test -race ./internal/shardplane/
 	$(GO) test -race -run 'TestGSD|TestGenstreamLoadgen' ./internal/cli/
 
+# The end-to-end benchmark (perfbench/) is a module of its own, so the root
+# `go test ./...` never compiles it; this gate vets and tests it against the
+# library in this checkout, so an API change that breaks the benchmark fails
+# here rather than when the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 fmt-check:
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \
 		echo "gofmt -s needed on:"; echo "$$out"; exit 1; fi
@@ -142,4 +149,4 @@ lint-govulncheck:
 		echo "lint: govulncheck $(GOVULNCHECK_VERSION) not installed and LINT_ONLINE != 1; skipping"; \
 	fi
 
-ci: fmt-check vet lint build test race codec-check cluster-check bench
+ci: fmt-check vet lint build test race codec-check cluster-check perfbench-check bench

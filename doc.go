@@ -12,8 +12,8 @@
 // execution — plus the query-serving side: Querier (Connected(u,v) answered
 // from an epoch-cached snapshot in O(α(n))) and Oracle (adds vertex-cut
 // DisconnectedBy and the Epoch counter), implemented by internal/oracle
-// for the spanning, skeleton, vertex-connectivity, edge-connectivity, and
-// sparsifier sketches. Constructors across the library follow one
+// (oracle.For) for the spanning, skeleton, hybrid, vertex-connectivity,
+// edge-connectivity, and sparsifier sketches. Constructors across the library follow one
 // convention: a Params struct whose zero fields receive sound defaults,
 // returning (*Sketch, error); incompatibilities and decode failures are
 // reported via sentinel errors (graphsketch.ErrMergeMismatch,
@@ -44,7 +44,7 @@
 //   - internal/oracle — the concurrent query-serving layer: epoch-cached
 //     decode, single-flight rebuild, DSU connectivity answers
 //   - internal/engine — parallel ingestion (vertex-sharded worker pool)
-//     and parallel skeleton decode
+//     and the fan-out behind vertexconn's parallel subgraph decode
 //   - internal/l0, internal/recovery, internal/field, internal/hashutil —
 //     the sparse-recovery substrate
 //   - internal/graph, internal/graphalg — hypergraph types and offline

@@ -92,7 +92,10 @@ func main() {
 	// every cut within the target factor, so a zero cut — disconnection —
 	// is preserved exactly, and the oracle's cached decode answers each
 	// pair without re-running the sparsifier pipeline.
-	orc := oracle.ForSparsify(sk)
+	orc, err := oracle.For(sk)
+	if err != nil {
+		log.Fatal(err)
+	}
 	ok, err := orc.Connected(0, n-1)
 	if err != nil {
 		log.Fatal(err)

@@ -47,7 +47,10 @@ func main() {
 	}
 	// All mutations and queries go through the oracle: mutations advance
 	// its epoch, queries serve from the cached decode of the latest epoch.
-	orc := oracle.ForVertexConn(sk)
+	orc, err := oracle.For(sk)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Phase 1: the friendships arrive in random order, interleaved with
 	// transient friendships that are later removed (churn).

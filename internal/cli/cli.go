@@ -337,7 +337,10 @@ func RunVconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	// Queries serve through the oracle layer: one decode builds the cached
 	// H snapshot, and every query after it is answered from the cache.
-	orc := oracle.ForVertexConn(s)
+	orc, err := oracle.For(s)
+	if err != nil {
+		return err
+	}
 	if *query != "" {
 		set, err := parseVertexSet(*query, *n)
 		if err != nil {
@@ -605,7 +608,11 @@ func RunEconn(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ok, err := oracle.ForEdgeConn(s).Connected(u, v)
+		orc, err := oracle.For(s)
+		if err != nil {
+			return err
+		}
+		ok, err := orc.Connected(u, v)
 		if err != nil {
 			return err
 		}

@@ -94,9 +94,11 @@ func gsdStream(t *testing.T, n int) (string, stream.Stream) {
 	return path, st
 }
 
-// TestGSDClusterEndToEnd drives the full CLI surface: three real gsd shard
-// processes on loopback, a coordinator run with -verify (byte-match against
-// the serial baseline) and a -connected query through the oracle.
+// TestGSDClusterEndToEnd drives the full CLI surface for every cluster
+// sketch kind: three real gsd shard processes on loopback (shared by the
+// kinds, one session each), a coordinator run with -verify (byte-match
+// against the serial baseline, both sides decoded through oracle.Decode)
+// and a -connected query through the coordinator oracle.
 func TestGSDClusterEndToEnd(t *testing.T) {
 	const n = 32
 	streamPath, _ := gsdStream(t, n)
@@ -108,25 +110,35 @@ func TestGSDClusterEndToEnd(t *testing.T) {
 		addrs = append(addrs, addr)
 	}
 
-	var stdout, stderr bytes.Buffer
-	err := RunGSD([]string{
-		"-coordinator", "-shards", strings.Join(addrs, ","),
-		"-sketch", "spanning", "-n", fmt.Sprint(n), "-seed", "5",
-		"-stream", streamPath, "-batch", "8", "-checkpoint-every", "2",
-		"-verify", "-connected", "0,31",
-	}, nil, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("coordinator: %v\nstderr: %s", err, stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "components: 1") {
-		t.Errorf("coordinator did not report one component:\n%s", out)
-	}
-	if !strings.Contains(out, "verify: OK") {
-		t.Errorf("verify did not pass:\n%s", out)
-	}
-	if !strings.Contains(out, "0 and 31 are connected") {
-		t.Errorf("oracle query wrong:\n%s", out)
+	for _, kind := range [][]string{
+		{"-sketch", "spanning"},
+		{"-sketch", "skeleton", "-k", "2"},
+		// A 4-word budget holds two buffer entries, so the stream's
+		// degree-3 vertices spill and the decode takes the mixed path.
+		{"-sketch", "hybrid", "-budget", "4"},
+	} {
+		t.Run(kind[1], func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{
+				"-coordinator", "-shards", strings.Join(addrs, ","),
+				"-n", fmt.Sprint(n), "-seed", "5",
+				"-stream", streamPath, "-batch", "8", "-checkpoint-every", "2",
+				"-verify", "-connected", "0,31",
+			}, kind...)
+			if err := RunGSD(args, nil, &stdout, &stderr); err != nil {
+				t.Fatalf("coordinator: %v\nstderr: %s", err, stderr.String())
+			}
+			out := stdout.String()
+			if !strings.Contains(out, "components: 1") {
+				t.Errorf("coordinator did not report one component:\n%s", out)
+			}
+			if !strings.Contains(out, "verify: OK") {
+				t.Errorf("verify did not pass:\n%s", out)
+			}
+			if !strings.Contains(out, "0 and 31 are connected") {
+				t.Errorf("oracle query wrong:\n%s", out)
+			}
+		})
 	}
 }
 

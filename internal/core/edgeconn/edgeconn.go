@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"graphsketch"
-	"graphsketch/internal/engine"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/obs"
@@ -99,9 +98,8 @@ func (s *Sketch) UpdateBatchRange(batch []graph.WeightedEdge, lo, hi int) error 
 	return s.skeleton.UpdateBatchRange(batch, lo, hi)
 }
 
-// Skeleton decodes (and caches) the k-skeleton. The k layers are peeled
-// with the parallel engine — identical output to the serial decode, using
-// all CPUs.
+// Skeleton decodes (and caches) the k-skeleton by Theorem 14's sequential
+// layer peel.
 func (s *Sketch) Skeleton() (*graph.Hypergraph, error) {
 	return s.SkeletonTraced(nil)
 }
@@ -112,7 +110,7 @@ func (s *Sketch) SkeletonTraced(parent *obs.Span) (*graph.Hypergraph, error) {
 	if s.decoded == nil {
 		sp := parent.Child("edgeconn.skeleton", em.skelSpan)
 		defer sp.End("k", s.skeleton.K())
-		skel, err := engine.DecodeSkeletonTraced(s.skeleton, sp)
+		skel, err := s.skeleton.SkeletonTraced(sp)
 		if err != nil {
 			return nil, err
 		}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"graphsketch"
-	"graphsketch/internal/engine"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/obs"
@@ -162,7 +161,7 @@ func (s *Sketch) LightEdgesMinusTraced(parent *obs.Span, sub *graph.Hypergraph) 
 		}
 	}
 	for round := 0; round < dom.N(); round++ {
-		skel, err := engine.DecodeSkeletonTraced(work, sp)
+		skel, err := work.SkeletonTraced(sp)
 		if err != nil {
 			return nil, fmt.Errorf("reconstruct: round %d: %w", round, err)
 		}
@@ -199,7 +198,7 @@ func (s *Sketch) Reconstruct() (*graph.Hypergraph, error) {
 	if err := work.UpdateGraph(light, -1); err != nil {
 		return nil, err
 	}
-	rest, err := engine.DecodeSkeleton(work)
+	rest, err := work.Skeleton()
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +224,7 @@ func (s *Sketch) SkeletonMinusTraced(parent *obs.Span, sub *graph.Hypergraph) (*
 			return nil, err
 		}
 	}
-	return engine.DecodeSkeletonTraced(work, parent)
+	return work.SkeletonTraced(parent)
 }
 
 // K returns the degeneracy parameter.

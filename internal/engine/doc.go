@@ -26,9 +26,8 @@
 //
 // Decoding is read-only on sketch state, so independent decodes run
 // concurrently via ForEach (an errgroup-style fan-out without
-// cancellation): the R subgraph forests of vertexconn.BuildH, and the k
-// layers of a skeleton in DecodeSkeleton — where layer clones are built in
-// parallel and each decoded forest is subtracted from all later layers
-// concurrently, keeping the sequential peeling semantics (layer i spans
-// G − F_1 − … − F_{i−1}) while overlapping the linear-algebra work.
+// cancellation): the R subgraph forests of vertexconn.BuildH. A k-skeleton
+// is not fanned out: Theorem 14's peel is sequential (layer i spans
+// G − F_1 − … − F_{i−1}), so it decodes through
+// sketch.SkeletonSketch.SkeletonTraced alone.
 package engine

@@ -1,6 +1,6 @@
 // Package engine is the ingestion policy layer over the shard plane
-// (internal/shardplane): batching, stream consumption, and parallel decode
-// pipelines. The shard routing itself — worker pools, vertex-range
+// (internal/shardplane): batching, stream consumption, and the ForEach
+// decode fan-out. The shard routing itself — worker pools, vertex-range
 // partitioning, skew metrics, and the TCP cluster transport — lives in
 // shardplane; an Engine is a thin graphsketch.Updater/stream.Sink adapter
 // over any Transport, so the same ingest loop drives an in-process pool

@@ -13,7 +13,6 @@ import (
 	"graphsketch/internal/core/vertexconn"
 	"graphsketch/internal/engine"
 	"graphsketch/internal/graph"
-	"graphsketch/internal/l0"
 	"graphsketch/internal/sketch"
 	"graphsketch/internal/stream"
 	"graphsketch/internal/workload"
@@ -118,7 +117,7 @@ func TestConcurrentUpdateBatch(t *testing.T) {
 	if !bytes.Equal(serial.Marshal(), par.Marshal()) {
 		t.Fatal("concurrent UpdateBatch state differs from serial ingestion")
 	}
-	got, err := engine.DecodeSkeletonWorkers(par, 4)
+	got, err := par.Skeleton()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,41 +127,6 @@ func TestConcurrentUpdateBatch(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Fatal("decode after concurrent ingestion differs from serial decode")
-	}
-}
-
-// TestDecodeSkeletonMatchesSerial checks that the parallel decode pipeline
-// reproduces the serial peeling exactly, interleaved with further ingestion.
-func TestDecodeSkeletonMatchesSerial(t *testing.T) {
-	const n, seed = 18, 3
-	_, batch := testStream(n, 4, seed)
-
-	serial := sketch.NewSkeleton(seed, graph.MustDomain(n, 2), 4, sketch.SpanningConfig{})
-	par := sketch.NewSkeleton(seed, graph.MustDomain(n, 2), 4, sketch.SpanningConfig{})
-	eng := engine.New(par, engine.Options{Workers: 3})
-	defer eng.Close()
-
-	// Decode at several prefixes of the stream: each phase ingests a chunk
-	// and then decodes both ways.
-	chunk := len(batch)/3 + 1
-	for lo := 0; lo < len(batch); lo += chunk {
-		hi := min(lo+chunk, len(batch))
-		if err := serial.UpdateBatch(batch[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.UpdateBatch(batch[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-		want, errS := serial.Skeleton()
-		// Explicit workers > 1 force the parallel pipeline even when
-		// GOMAXPROCS is 1 (where DecodeSkeleton falls back to serial).
-		got, errP := engine.DecodeSkeletonWorkers(par, 3)
-		if (errS == nil) != (errP == nil) {
-			t.Fatalf("prefix %d: serial err %v, parallel err %v", hi, errS, errP)
-		}
-		if errS == nil && !got.Equal(want) {
-			t.Fatalf("prefix %d: parallel skeleton differs from serial", hi)
-		}
 	}
 }
 
@@ -256,43 +220,5 @@ func TestForEach(t *testing.T) {
 	}
 	if err := engine.ForEach(4, 0, func(int) error { return errA }); err != nil {
 		t.Fatalf("n=0: got %v, want nil", err)
-	}
-}
-
-// TestDecodeExhaustedSentinel pins the typed failure contract of the
-// decode fan-out: when a layer's sketch runs out of decode budget, the
-// error carries BOTH engine.ErrDecodeExhausted and (transitively)
-// sketch.ErrDecodeFailed, so the query-serving oracle can distinguish the
-// operational "sketch exhausted" condition from programmer errors.
-func TestDecodeExhaustedSentinel(t *testing.T) {
-	// A 32-path with one Boruvka round and minimal samplers cannot decode;
-	// try several seeds so at least one fails in both code paths.
-	tiny := sketch.SpanningConfig{Rounds: 1, Sampler: l0.Config{S: 1, Rows: 1, MaxLevels: 2}}
-	h := graph.NewGraph(32)
-	for i := 0; i < 31; i++ {
-		h.AddSimple(i, i+1)
-	}
-	for _, workers := range []int{1, 4} {
-		fails := 0
-		for trial := 0; trial < 20; trial++ {
-			sk := sketch.NewSkeleton(uint64(trial), h.Domain(), 2, tiny)
-			if err := sk.UpdateGraph(h, 1); err != nil {
-				t.Fatal(err)
-			}
-			_, err := engine.DecodeSkeletonWorkers(sk, workers)
-			if err == nil {
-				continue
-			}
-			fails++
-			if !errors.Is(err, engine.ErrDecodeExhausted) {
-				t.Fatalf("workers=%d: decode failure lacks ErrDecodeExhausted: %v", workers, err)
-			}
-			if !errors.Is(err, sketch.ErrDecodeFailed) {
-				t.Fatalf("workers=%d: decode failure lacks sketch.ErrDecodeFailed: %v", workers, err)
-			}
-		}
-		if fails == 0 {
-			t.Fatalf("workers=%d: undersized skeleton decoded a 32-path in all 20 trials", workers)
-		}
 	}
 }

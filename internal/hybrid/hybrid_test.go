@@ -402,11 +402,11 @@ func TestHybridEngineParallelSerial(t *testing.T) {
 		if !bytes.Equal(par.Marshal(), serial.Marshal()) {
 			t.Fatalf("workers=%d: parallel state differs from serial", workers)
 		}
-		f, err := engine.DecodeHybrid(par)
+		f, err := par.Decode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameComponents(t, final, f, "engine decode")
+		sameComponents(t, final, f, "decode after engine ingest")
 	}
 }
 
@@ -432,7 +432,7 @@ func TestHybridSkeletonDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := engine.DecodeHybrid(hy)
+	got, err := hy.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,22 +443,18 @@ func TestHybridSkeletonDecode(t *testing.T) {
 	if hy.SpilledCount() == len(make([]bool, n)) {
 		t.Fatal("decode spilled the original")
 	}
-	got2, err := hy.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(got2) {
-		t.Fatal("serial hybrid skeleton decode differs")
-	}
 }
 
-// TestHybridOracle covers the query-serving adapter: warm Connected answers
+// TestHybridOracle covers the hybrid route of oracle.For: warm Connected answers
 // against the hybrid-decoded snapshot.
 func TestHybridOracle(t *testing.T) {
 	const n = 64
 	st, final := sparseChurnStream(t, n, 2, 2, 19)
 	_, hy := pair(t, n, 2, 16, 23)
-	or := oracle.ForHybrid(hy)
+	or, err := oracle.For(hy)
+	if err != nil {
+		t.Fatal(err)
+	}
 	batch := make([]graph.WeightedEdge, len(st))
 	for i, u := range st {
 		batch[i] = graph.WeightedEdge{E: u.Edge, W: int64(u.Op)}

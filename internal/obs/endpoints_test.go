@@ -25,9 +25,9 @@ func pathBatch(n int) []graph.WeightedEdge {
 }
 
 // TestTraceTreeDepth is the tentpole acceptance check: a skeleton decode
-// through the engine records a trace tree at least three levels deep
-// (decode_skeleton → decode_layer → spanning_graph → peel_round), and the
-// tree is retrievable from /debug/traces exactly as a scraper would see it.
+// of engine-ingested state records a trace tree at least three levels deep
+// (skeleton → skeleton_layer → spanning_graph → peel_round), and the tree
+// is retrievable from /debug/traces exactly as a scraper would see it.
 func TestTraceTreeDepth(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -43,7 +43,7 @@ func TestTraceTreeDepth(t *testing.T) {
 	if err := eng.UpdateBatch(pathBatch(n)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.DecodeSkeletonTraced(sk, nil); err != nil {
+	if _, err := sk.SkeletonTraced(nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,23 +65,20 @@ func TestTraceTreeDepth(t *testing.T) {
 	}
 
 	// Find the decode's trace (other tests in the package may have left
-	// trees in the ring) and assert its shape. The engine takes the
-	// parallel fan-out on multi-core machines (engine.decode_skeleton →
-	// engine.decode_layer) and the serial peel on one CPU (sketch.skeleton
-	// → sketch.skeleton_layer); both bottom out in spanning_graph →
-	// peel_round, so both trees are at least three levels deep.
+	// trees in the ring) and assert its shape: sketch.skeleton →
+	// sketch.skeleton_layer → sketch.spanning_graph → sketch.peel_round.
 	for _, tr := range payload.Traces {
 		names := make(map[string]bool, len(tr.Spans))
 		for _, s := range tr.Spans {
 			names[s.Name] = true
 		}
-		if !names["engine.decode_skeleton"] && !names["sketch.skeleton"] {
+		if !names["sketch.skeleton"] {
 			continue
 		}
 		if tr.Depth < 3 {
 			t.Fatalf("skeleton decode trace depth = %d, want >= 3 (spans: %v)", tr.Depth, names)
 		}
-		for _, want := range []string{"sketch.spanning_graph", "sketch.peel_round"} {
+		for _, want := range []string{"sketch.skeleton_layer", "sketch.spanning_graph", "sketch.peel_round"} {
 			if !names[want] {
 				t.Errorf("skeleton decode trace is missing a %s span", want)
 			}
@@ -113,7 +110,10 @@ func TestEndpointScrapeRace(t *testing.T) {
 	if err := querySketch.UpdateBatch(pathBatch(n)); err != nil {
 		t.Fatal(err)
 	}
-	orc := oracle.ForSkeleton(querySketch)
+	orc, err := oracle.For(querySketch)
+	if err != nil {
+		t.Fatal(err)
+	}
 	obs.RegisterInspector("race_skeleton", querySketch)
 	defer obs.RegisterInspector("race_skeleton", nil)
 

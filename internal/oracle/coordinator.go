@@ -6,15 +6,9 @@ import (
 
 	"graphsketch"
 	"graphsketch/internal/codec"
-	"graphsketch/internal/core/edgeconn"
-	"graphsketch/internal/core/sparsify"
-	"graphsketch/internal/core/vertexconn"
-	"graphsketch/internal/engine"
 	"graphsketch/internal/graph"
-	"graphsketch/internal/hybrid"
 	"graphsketch/internal/obs"
 	"graphsketch/internal/shardplane"
-	"graphsketch/internal/sketch"
 )
 
 // ForCoordinator serves queries from a shard plane instead of a local
@@ -42,12 +36,13 @@ func ForCoordinator(tr shardplane.Transport, proto shardplane.Member) (*Oracle, 
 	if err != nil {
 		return nil, fmt.Errorf("oracle: reopening coordinator prototype: %w", err)
 	}
-	if _, err := decodeRouteFor(probe); err != nil {
+	r, err := routeFor(probe)
+	if err != nil {
 		return nil, err
 	}
 	return New(Config{
 		Sketch: &transportSketch{tr: tr},
-		N:      proto.NumVertices(),
+		N:      r.n,
 		Decode: func(sp *obs.Span) (*graph.Hypergraph, error) {
 			fresh, err := codec.Open(bytes.NewReader(frame))
 			if err != nil {
@@ -56,33 +51,10 @@ func ForCoordinator(tr shardplane.Transport, proto shardplane.Member) (*Oracle, 
 			if err := tr.Gather(fresh); err != nil {
 				return nil, fmt.Errorf("oracle: gathering shards: %w", err)
 			}
-			decode, _ := decodeRouteFor(fresh)
-			return decode(sp)
+			return Decode(fresh, sp)
 		},
+		MaxRemove: r.maxRemove,
 	})
-}
-
-// decodeRouteFor picks the decode pipeline for a gathered sketch, the same
-// routes the per-type adapters use.
-func decodeRouteFor(s graphsketch.Sketch) (func(*obs.Span) (*graph.Hypergraph, error), error) {
-	switch s := s.(type) {
-	case *sketch.SpanningSketch:
-		return func(sp *obs.Span) (*graph.Hypergraph, error) { return s.SpanningGraphTraced(sp) }, nil
-	case *sketch.SkeletonSketch:
-		return func(sp *obs.Span) (*graph.Hypergraph, error) { return engine.DecodeSkeletonTraced(s, sp) }, nil
-	case *hybrid.Sketch:
-		return func(sp *obs.Span) (*graph.Hypergraph, error) { return engine.DecodeHybridTraced(s, sp) }, nil
-	case *vertexconn.Sketch:
-		return func(sp *obs.Span) (*graph.Hypergraph, error) {
-			h, _, err := s.BuildHTraced(sp)
-			return h, err
-		}, nil
-	case *edgeconn.Sketch:
-		return func(sp *obs.Span) (*graph.Hypergraph, error) { return s.SkeletonTraced(sp) }, nil
-	case *sparsify.Sketch:
-		return func(sp *obs.Span) (*graph.Hypergraph, error) { return s.SparsifierTraced(sp) }, nil
-	}
-	return nil, fmt.Errorf("oracle: no coordinator decode route for %T: %w", s, ErrNoDecodeRoute)
 }
 
 // transportSketch adapts a shardplane.Transport to the mutation surface

@@ -29,13 +29,22 @@
 // (the epochs no longer match). The epochguard analyzer (cmd/gsvet)
 // enforces the reading discipline mechanically.
 //
+// # Decode routes
+//
+// For wraps any of the library's decodable sketches; one unexported route
+// table picks each type's decode (spanning forest, skeleton peel, hybrid
+// mixed decode, Theorem 4's H, or sparsifier) and its DisconnectedBy cap.
+// Decode exposes the same table for one-shot decodes, and ForCoordinator
+// uses it for gathered shard state, so a sketch type decodes the same way
+// whether it is served locally, from a shard plane, or decoded once.
+//
 // # Failure semantics
 //
 // Decode is probabilistic: with an under-provisioned sketch it can exhaust
-// its repetition budget (sketch.ErrDecodeFailed, surfaced by the engine as
-// engine.ErrDecodeExhausted). The oracle reports that operational condition
-// wrapped in graphsketch.ErrStaleDecode — the sketch state is intact and a
-// later rebuild may succeed — while programmer errors (mismatched merges,
+// its repetition budget (sketch.ErrDecodeFailed somewhere in the error
+// chain). The oracle reports that operational condition wrapped in
+// graphsketch.ErrStaleDecode — the sketch state is intact and a later
+// rebuild may succeed — while programmer errors (mismatched merges,
 // out-of-range vertices) pass through unwrapped for errors.Is branching.
 package oracle
 
@@ -67,14 +76,14 @@ var ErrConfig = errors.New("oracle: invalid configuration")
 // or restoring the proxy would silently bypass the transport.
 var ErrCoordinatorProxy = errors.New("oracle: coordinator proxy state lives on the shards")
 
-// ErrNoDecodeRoute is returned when a coordinator oracle is asked to wrap
-// a sketch type it has no decode routine for.
-var ErrNoDecodeRoute = errors.New("oracle: no coordinator decode route for sketch type")
+// ErrNoDecodeRoute is returned by For, Decode and ForCoordinator for a
+// sketch type the route table has no decode routine for.
+var ErrNoDecodeRoute = errors.New("oracle: no decode route for sketch type")
 
-// Config assembles an Oracle from a sketch and its decode routine. The
-// adapter constructors (ForSpanning, ForSkeleton, ForVertexConn,
-// ForEdgeConn, ForSparsify) fill it for the library's sketches; Config is
-// exported for sketches outside the repository's core set.
+// Config assembles an Oracle from a sketch and its decode routine. For
+// fills it from the route table for the library's sketches; Config is
+// exported for sketches outside the repository's core set and for callers
+// that need a custom decode.
 type Config struct {
 	// Sketch is the wrapped sketch. All mutations must go through the
 	// oracle (or be followed by Invalidate): the oracle serializes them
@@ -89,9 +98,9 @@ type Config struct {
 	// the decode's trace under it so a slow rebuild attributes down to
 	// the peel rounds that caused it.
 	Decode func(sp *obs.Span) (*graph.Hypergraph, error)
-	// MaxRemove caps DisconnectedBy removal-set sizes (0 = uncapped). The
-	// vertexconn adapter sets it to the sketch's K, past which the
-	// Theorem 4 guarantee lapses.
+	// MaxRemove caps DisconnectedBy removal-set sizes (0 = uncapped). For
+	// sets it to a vertexconn sketch's K, past which the Theorem 4
+	// guarantee lapses.
 	MaxRemove int
 }
 
@@ -137,16 +146,6 @@ func New(cfg Config) (*Oracle, error) {
 		return nil, fmt.Errorf("oracle: need N >= 1, got %d: %w", cfg.N, ErrConfig)
 	}
 	return &Oracle{cfg: cfg}, nil
-}
-
-// mustNew is New for the adapter constructors, whose configs are valid by
-// construction.
-func mustNew(cfg Config) *Oracle {
-	o, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return o
 }
 
 // Epoch returns the current mutation epoch (graphsketch.Oracle). Queries

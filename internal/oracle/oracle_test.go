@@ -11,52 +11,182 @@ import (
 	"testing"
 
 	"graphsketch"
+	"graphsketch/internal/core/edgeconn"
+	"graphsketch/internal/core/sparsify"
 	"graphsketch/internal/core/vertexconn"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
+	"graphsketch/internal/hybrid"
+	"graphsketch/internal/l0"
 	"graphsketch/internal/obs"
 	"graphsketch/internal/sketch"
 	"graphsketch/internal/workload"
 )
 
+// mustFor is For for sketches the route table is known to cover.
+func mustFor(t *testing.T, s graphsketch.Sketch) *Oracle {
+	t.Helper()
+	orc, err := For(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return orc
+}
+
+// routedSketches builds one fresh sketch per route of For over n vertices.
+// maxRemove is the DisconnectedBy cap For must install (0 = uncapped).
+var routedSketches = []struct {
+	name      string
+	maxRemove int
+	build     func(n int, seed uint64) (graphsketch.Sketch, error)
+}{
+	{"spanning", 0, func(n int, seed uint64) (graphsketch.Sketch, error) {
+		return sketch.NewSpanningSketch(sketch.SpanningParams{N: n, Seed: seed})
+	}},
+	{"skeleton", 0, func(n int, seed uint64) (graphsketch.Sketch, error) {
+		return sketch.NewSkeletonSketch(sketch.SkeletonParams{N: n, K: 2, Seed: seed})
+	}},
+	{"hybrid-spanning", 0, func(n int, seed uint64) (graphsketch.Sketch, error) {
+		inner, err := sketch.NewSpanningSketch(sketch.SpanningParams{N: n, Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		return hybrid.New(inner, 8)
+	}},
+	{"hybrid-skeleton", 0, func(n int, seed uint64) (graphsketch.Sketch, error) {
+		inner, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: n, K: 2, Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		return hybrid.New(inner, 8)
+	}},
+	{"vertexconn", 2, func(n int, seed uint64) (graphsketch.Sketch, error) {
+		return vertexconn.New(vertexconn.Params{N: n, K: 2, Subgraphs: 96, Seed: seed})
+	}},
+	{"edgeconn", 0, func(n int, seed uint64) (graphsketch.Sketch, error) {
+		return edgeconn.New(edgeconn.Params{N: n, K: 2, Seed: seed})
+	}},
+	{"sparsify", 0, func(n int, seed uint64) (graphsketch.Sketch, error) {
+		return sparsify.New(sparsify.Params{N: n, K: 4, Seed: seed})
+	}},
+}
+
+// TestConnectedMatchesGroundTruth serves every structure through For and
+// checks all n² Connected answers against the streamed graph's components.
 func TestConnectedMatchesGroundTruth(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	for trial := 0; trial < 4; trial++ {
-		h := workload.ErdosRenyi(rng, 12, 0.15+0.1*float64(trial))
-		sp := sketch.NewSpanning(uint64(trial), h.Domain(), sketch.SpanningConfig{})
-		orc := ForSpanning(sp)
-		if err := orc.Update(graph.MustEdge(0, 1), 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := orc.Update(graph.MustEdge(0, 1), -1); err != nil {
-			t.Fatal(err)
-		}
-		if err := orc.UpdateBatch(h.WeightedEdges()); err != nil {
-			t.Fatal(err)
-		}
-		truth := graphalg.ComponentsOf(h)
-		for u := 0; u < h.N(); u++ {
-			for v := 0; v < h.N(); v++ {
-				got, err := orc.Connected(u, v)
+	for _, tc := range routedSketches {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(1, 1))
+			for trial := 0; trial < 4; trial++ {
+				h := workload.ErdosRenyi(rng, 12, 0.15+0.1*float64(trial))
+				s, err := tc.build(h.N(), uint64(trial))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got != truth.Same(u, v) {
-					t.Fatalf("trial %d: Connected(%d,%d) = %v, truth %v", trial, u, v, got, truth.Same(u, v))
+				orc := mustFor(t, s)
+				if orc.NumVertices() != h.N() {
+					t.Fatalf("trial %d: NumVertices = %d, want %d", trial, orc.NumVertices(), h.N())
+				}
+				if err := orc.Update(graph.MustEdge(0, 1), 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := orc.Update(graph.MustEdge(0, 1), -1); err != nil {
+					t.Fatal(err)
+				}
+				if err := orc.UpdateBatch(h.WeightedEdges()); err != nil {
+					t.Fatal(err)
+				}
+				truth := graphalg.ComponentsOf(h)
+				for u := 0; u < h.N(); u++ {
+					for v := 0; v < h.N(); v++ {
+						got, err := orc.Connected(u, v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != truth.Same(u, v) {
+							t.Fatalf("trial %d: Connected(%d,%d) = %v, truth %v", trial, u, v, got, truth.Same(u, v))
+						}
+					}
+				}
+				comps, err := orc.Components()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if comps != truth.Components() {
+					t.Fatalf("trial %d: %d components, want %d", trial, comps, truth.Components())
+				}
+				// The n² queries above triggered exactly one decode.
+				if st := orc.CacheStats(); st.Rebuilds != 1 {
+					t.Fatalf("trial %d: %d rebuilds for a query burst, want 1", trial, st.Rebuilds)
+				}
+				// Only vertexconn caps removal sets (at its K).
+				over := []int{0, 1, 2}
+				_, err = orc.DisconnectedBy(over)
+				if capped := errors.Is(err, ErrRemoveTooLarge); capped != (tc.maxRemove > 0) {
+					t.Fatalf("trial %d: DisconnectedBy(%v) = %v, want capped = %v", trial, over, err, tc.maxRemove > 0)
+				}
+				// Decode follows the same route as the oracle's rebuild.
+				f, err := Decode(s, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := graphalg.ComponentsOf(f).Components(); got != truth.Components() {
+					t.Fatalf("trial %d: Decode gave %d components, want %d", trial, got, truth.Components())
 				}
 			}
-		}
-		comps, err := orc.Components()
+		})
+	}
+}
+
+// TestForNoDecodeRoute: a sketch type outside the route table fails at
+// construction, not at the first query.
+func TestForNoDecodeRoute(t *testing.T) {
+	est, err := vertexconn.NewEstimator(vertexconn.EstimatorParams{N: 8, KMax: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := For(est); !errors.Is(err, ErrNoDecodeRoute) {
+		t.Fatalf("For(*vertexconn.Estimator): got %v, want ErrNoDecodeRoute", err)
+	}
+	if _, err := Decode(est, nil); !errors.Is(err, ErrNoDecodeRoute) {
+		t.Fatalf("Decode(*vertexconn.Estimator): got %v, want ErrNoDecodeRoute", err)
+	}
+}
+
+// TestForExhaustedSkeleton pins the failure contract end to end: when an
+// under-provisioned skeleton served through For runs out of decode budget,
+// the query returns graphsketch.ErrStaleDecode wrapping
+// sketch.ErrDecodeFailed, so callers can tell the operational "sketch
+// exhausted" condition from programmer errors.
+func TestForExhaustedSkeleton(t *testing.T) {
+	// A 32-path with one Boruvka round and minimal samplers cannot decode;
+	// try several seeds so at least one fails.
+	tiny := sketch.SpanningConfig{Rounds: 1, Sampler: l0.Config{S: 1, Rows: 1, MaxLevels: 2}}
+	h := graph.NewGraph(32)
+	for i := 0; i < 31; i++ {
+		h.AddSimple(i, i+1)
+	}
+	fails := 0
+	for trial := 0; trial < 20; trial++ {
+		sk, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{N: 32, K: 2, Spanning: tiny, Seed: uint64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if comps != truth.Components() {
-			t.Fatalf("trial %d: %d components, want %d", trial, comps, truth.Components())
+		orc := mustFor(t, sk)
+		if err := orc.UpdateBatch(h.WeightedEdges()); err != nil {
+			t.Fatal(err)
 		}
-		// The n² queries above triggered exactly one decode.
-		if st := orc.CacheStats(); st.Rebuilds != 1 {
-			t.Fatalf("trial %d: %d rebuilds for a query burst, want 1", trial, st.Rebuilds)
+		_, err = orc.Connected(0, 31)
+		if err == nil {
+			continue
 		}
+		fails++
+		if !errors.Is(err, graphsketch.ErrStaleDecode) || !errors.Is(err, sketch.ErrDecodeFailed) {
+			t.Fatalf("trial %d: got %v, want ErrStaleDecode wrapping sketch.ErrDecodeFailed", trial, err)
+		}
+	}
+	if fails == 0 {
+		t.Fatal("undersized skeleton decoded a 32-path in all 20 trials")
 	}
 }
 
@@ -69,7 +199,7 @@ func TestVertexCutQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc := ForVertexConn(vc)
+	orc := mustFor(t, vc)
 	if err := orc.UpdateBatch(g.WeightedEdges()); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +239,7 @@ func TestEpochNeverServesPreMutationSnapshot(t *testing.T) {
 		path.AddSimple(i, i+1)
 	}
 	sp := sketch.NewSpanning(3, path.Domain(), sketch.SpanningConfig{})
-	orc := ForSpanning(sp)
+	orc := mustFor(t, sp)
 	if err := orc.UpdateBatch(path.WeightedEdges()); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +327,7 @@ func TestConcurrentQueryMutationStress(t *testing.T) {
 	h := workload.Cycle(12)
 	dom := h.Domain()
 	sp := sketch.NewSpanning(11, dom, sketch.SpanningConfig{})
-	orc := ForSpanning(sp)
+	orc := mustFor(t, sp)
 	if err := orc.UpdateBatch(h.WeightedEdges()); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +427,7 @@ func TestDecodeFailureBranding(t *testing.T) {
 func TestSketchPassthroughAndInvalidate(t *testing.T) {
 	h := workload.Cycle(8)
 	sp := sketch.NewSpanning(21, h.Domain(), sketch.SpanningConfig{})
-	orc := ForSpanning(sp)
+	orc := mustFor(t, sp)
 	if orc.Words() != sp.Words() || orc.NumVertices() != h.N() {
 		t.Fatal("pass-through accessors disagree with the wrapped sketch")
 	}
@@ -309,7 +439,7 @@ func TestSketchPassthroughAndInvalidate(t *testing.T) {
 	// which for a {0,1} stream means decode still sees the same support.
 	blob := orc.Marshal()
 	sp2 := sketch.NewSpanning(21, h.Domain(), sketch.SpanningConfig{})
-	orc2 := ForSpanning(sp2)
+	orc2 := mustFor(t, sp2)
 	if err := orc2.Unmarshal(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +500,7 @@ func TestOracleMetricsExported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc := ForVertexConn(s)
+	orc := mustFor(t, s)
 	for _, e := range g.Edges() {
 		if err := orc.Update(e, 1); err != nil {
 			t.Fatal(err)

@@ -207,12 +207,6 @@ func (s *SkeletonSketch) peelLayer(parent *obs.Span, i int, layer *SpanningSketc
 // K returns the skeleton's connectivity parameter.
 func (s *SkeletonSketch) K() int { return s.k }
 
-// Layers returns the k independent per-layer spanning sketches, in peeling
-// order. The slice is the sketch's own backing store — callers must treat
-// it as read-only (the parallel decode engine clones each layer before
-// subtracting forests).
-func (s *SkeletonSketch) Layers() []*SpanningSketch { return s.layers }
-
 // NumVertices returns n, the vertex space the sketch shards over.
 func (s *SkeletonSketch) NumVertices() int { return s.dom.N() }
 
