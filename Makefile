@@ -63,13 +63,14 @@ bench-diff:
 
 # Wire-format gate: the codec corruption/round-trip suite and the root
 # checkpoint conformance harness under the race detector, plus a fuzz smoke
-# of both codec targets (go test accepts one -fuzz pattern per run, hence
-# two invocations).
+# of both codec targets and the hybrid's frame opener (go test accepts one
+# -fuzz pattern per run, hence one invocation each).
 codec-check:
 	$(GO) test -race ./internal/codec/ ./internal/cli/
 	$(GO) test -race -run 'TestCheckpoint' .
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/codec/
+	$(GO) test -run '^$$' -fuzz FuzzHybridOpen -fuzztime 10s ./internal/hybrid/
 
 # Race-enabled run of the concurrency-sensitive packages plus the obs
 # endpoint smoke test — the fast loop CI runs on every push (race over the

@@ -60,33 +60,22 @@ type Mergeable interface {
 //     aggregation).
 //   - Words reports the memory footprint in 64-bit words (the paper's space
 //     measure).
-//   - Marshal emits the raw, unversioned state bytes — the legacy escape
-//     hatch. WARNING: raw state carries no identity: parameters and seeds
-//     are NOT serialized, there is no version, checksum, or mismatch
-//     detection, and bytes fed to Unmarshal on a differently-constructed
-//     instance silently decode to garbage. Durable or transported state
-//     should use the framed format instead: Checkpointer (WriteTo/ReadFrom)
-//     and codec.Open wrap exactly these bytes in a self-describing,
-//     checksummed envelope that verifies identity before merging. Marshal
-//     remains useful in-process, where both endpoints are known to share
-//     construction — it is the compact interior of a checkpoint frame.
-//   - Unmarshal restores (by linear addition) contents produced by Marshal
-//     on an identically-constructed sketch. Calling it on a non-empty
-//     sketch adds the two states, which is itself meaningful by linearity.
-//     The same no-identity warning as Marshal applies; prefer Checkpointer.
+//
+// State travels only as codec frames: Checkpointer below for durable or
+// transported checkpoints, and framed per-vertex shares for the shard
+// plane. Both carry the construction identity, so a differently-built
+// receiver refuses them typed instead of merging garbage.
 type Sketch interface {
 	Updater
 	Mergeable
 	Words() int
-	Marshal() []byte
-	Unmarshal(data []byte) error
 }
 
 // Checkpointer is a Sketch that can durably checkpoint and restore itself
 // through the versioned wire format (internal/codec). WriteTo emits one
 // self-describing frame: magic, format version, structure type tag,
 // params+seed identity fingerprint, the construction parameters themselves,
-// the Marshal state, and a checksum. ReadFrom reads such a frame back,
+// the sketch's raw state, and a checksum. ReadFrom reads such a frame back,
 // verifying that the frame's fingerprint matches the receiver's before
 // merging the state linearly (an exact restore when the receiver is fresh);
 // a frame from a differently-constructed sketch fails with

@@ -4,8 +4,8 @@
 // (codec.Open, no out-of-band construction), finish the stream, and land on
 // byte-identical state versus an uninterrupted run. The same table drives
 // the cross-construction rejection check: a Lean-profile frame presented to
-// a Balanced-profile reader must fail with codec.ErrFingerprint, never
-// merge.
+// a Balanced-profile reader, or a frame from a sketch with another seed,
+// must fail with codec.ErrFingerprint, never merge.
 package graphsketch_test
 
 import (
@@ -28,57 +28,56 @@ import (
 )
 
 // checkpointCases builds each of the eight implementations under a given
-// profile; the Lean and Balanced variants of one case differ only in
-// construction parameters (never seed), which is exactly what the identity
-// fingerprint must distinguish. The hybrid case varies both its own budget
-// and the wrapped inner's profile, so its fingerprint must reject a
-// mismatch at either layer.
+// profile and seed; two builds that differ in either are exactly what the
+// identity fingerprint must distinguish. The hybrid case varies both its
+// own budget and the wrapped inner's profile, so its fingerprint must
+// reject a mismatch at either layer.
 var checkpointCases = []struct {
 	name  string
-	build func(t *testing.T, n int, prof plan.Profile) graphsketch.Checkpointer
+	build func(t *testing.T, n int, prof plan.Profile, seed uint64) graphsketch.Checkpointer
 }{
-	{"spanning", func(t *testing.T, n int, prof plan.Profile) graphsketch.Checkpointer {
+	{"spanning", func(t *testing.T, n int, prof plan.Profile, seed uint64) graphsketch.Checkpointer {
 		s, err := sketch.NewSpanningSketch(sketch.SpanningParams{
 			N: n, Rounds: plan.Spanning(n, prof).Rounds,
-			Sampler: plan.Spanning(n, prof).Sampler, Seed: 7,
+			Sampler: plan.Spanning(n, prof).Sampler, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}},
-	{"skeleton", func(t *testing.T, n int, prof plan.Profile) graphsketch.Checkpointer {
+	{"skeleton", func(t *testing.T, n int, prof plan.Profile, seed uint64) graphsketch.Checkpointer {
 		s, err := sketch.NewSkeletonSketch(sketch.SkeletonParams{
-			N: n, K: 2, Spanning: plan.Spanning(n, prof), Seed: 7,
+			N: n, K: 2, Spanning: plan.Spanning(n, prof), Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}},
-	{"edgeconn", func(t *testing.T, n int, prof plan.Profile) graphsketch.Checkpointer {
+	{"edgeconn", func(t *testing.T, n int, prof plan.Profile, seed uint64) graphsketch.Checkpointer {
 		s, err := edgeconn.New(edgeconn.Params{
-			N: n, K: 3, Spanning: plan.Spanning(n, prof), Seed: 7,
+			N: n, K: 3, Spanning: plan.Spanning(n, prof), Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}},
-	{"vertexconn", func(t *testing.T, n int, prof plan.Profile) graphsketch.Checkpointer {
-		s, err := vertexconn.New(plan.VertexConnQuery(n, 2, 2, 7, prof))
+	{"vertexconn", func(t *testing.T, n int, prof plan.Profile, seed uint64) graphsketch.Checkpointer {
+		s, err := vertexconn.New(plan.VertexConnQuery(n, 2, 2, seed, prof))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}},
-	{"estimator", func(t *testing.T, n int, prof plan.Profile) graphsketch.Checkpointer {
+	{"estimator", func(t *testing.T, n int, prof plan.Profile, seed uint64) graphsketch.Checkpointer {
 		per := 24
 		if prof == plan.Lean {
 			per = 12
 		}
 		e, err := vertexconn.NewEstimator(vertexconn.EstimatorParams{
-			N: n, KMax: 4, Seed: 7,
+			N: n, KMax: 4, Seed: seed,
 			SubgraphsAt: func(k int) int { return per * k },
 		})
 		if err != nil {
@@ -86,26 +85,26 @@ var checkpointCases = []struct {
 		}
 		return e
 	}},
-	{"reconstruct", func(t *testing.T, n int, prof plan.Profile) graphsketch.Checkpointer {
+	{"reconstruct", func(t *testing.T, n int, prof plan.Profile, seed uint64) graphsketch.Checkpointer {
 		s, err := reconstruct.New(reconstruct.Params{
-			N: n, K: 2, Spanning: plan.Spanning(n, prof), Seed: 7,
+			N: n, K: 2, Spanning: plan.Spanning(n, prof), Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}},
-	{"sparsify", func(t *testing.T, n int, prof plan.Profile) graphsketch.Checkpointer {
-		s, err := sparsify.New(plan.Sparsify(n, 2, 0.5, 7, prof))
+	{"sparsify", func(t *testing.T, n int, prof plan.Profile, seed uint64) graphsketch.Checkpointer {
+		s, err := sparsify.New(plan.Sparsify(n, 2, 0.5, seed, prof))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}},
-	{"hybrid", func(t *testing.T, n int, prof plan.Profile) graphsketch.Checkpointer {
+	{"hybrid", func(t *testing.T, n int, prof plan.Profile, seed uint64) graphsketch.Checkpointer {
 		inner, err := sketch.NewSpanningSketch(sketch.SpanningParams{
 			N: n, Rounds: plan.Spanning(n, prof).Rounds,
-			Sampler: plan.Spanning(n, prof).Sampler, Seed: 7,
+			Sampler: plan.Spanning(n, prof).Sampler, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -121,6 +120,9 @@ var checkpointCases = []struct {
 		return h
 	}},
 }
+
+// ckptSeed is the seed every conformance build uses unless a row varies it.
+const ckptSeed = 7
 
 // checkpointStream is a shared dynamic graph stream with churn (inserts and
 // deletes on both sides of the cut point).
@@ -138,12 +140,12 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	for _, tc := range checkpointCases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Uninterrupted reference run.
-			full := tc.build(t, n, plan.Balanced)
+			full := tc.build(t, n, plan.Balanced, ckptSeed)
 			if err := stream.Apply(st, full); err != nil {
 				t.Fatal(err)
 			}
 			// Interrupted run: half the stream, then a framed checkpoint.
-			first := tc.build(t, n, plan.Balanced)
+			first := tc.build(t, n, plan.Balanced, ckptSeed)
 			if err := stream.Apply(st[:half], first); err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +166,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 			if err := stream.Apply(st[half:], resumed); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(resumed.Marshal(), full.Marshal()) {
+			if !bytes.Equal(frameOf(t, resumed), frameOf(t, full)) {
 				t.Fatal("resumed state differs from uninterrupted run")
 			}
 		})
@@ -179,11 +181,11 @@ func TestCheckpointReadFromResume(t *testing.T) {
 	half := len(st) / 2
 	for _, tc := range checkpointCases {
 		t.Run(tc.name, func(t *testing.T) {
-			full := tc.build(t, n, plan.Balanced)
+			full := tc.build(t, n, plan.Balanced, ckptSeed)
 			if err := stream.Apply(st, full); err != nil {
 				t.Fatal(err)
 			}
-			first := tc.build(t, n, plan.Balanced)
+			first := tc.build(t, n, plan.Balanced, ckptSeed)
 			if err := stream.Apply(st[:half], first); err != nil {
 				t.Fatal(err)
 			}
@@ -191,14 +193,14 @@ func TestCheckpointReadFromResume(t *testing.T) {
 			if _, err := first.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			resumed := tc.build(t, n, plan.Balanced)
+			resumed := tc.build(t, n, plan.Balanced, ckptSeed)
 			if _, err := resumed.ReadFrom(&buf); err != nil {
 				t.Fatal(err)
 			}
 			if err := stream.Apply(st[half:], resumed); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(resumed.Marshal(), full.Marshal()) {
+			if !bytes.Equal(frameOf(t, resumed), frameOf(t, full)) {
 				t.Fatal("resumed state differs from uninterrupted run")
 			}
 		})
@@ -206,25 +208,39 @@ func TestCheckpointReadFromResume(t *testing.T) {
 }
 
 func TestCheckpointRejectsCrossConstruction(t *testing.T) {
-	// A Lean-profile frame presented to a Balanced-profile reader must be
-	// refused with the typed fingerprint error for every implementation —
-	// same seed, different parameters is precisely the silent-garbage case
-	// the raw Marshal/Unmarshal path cannot detect.
+	// A frame presented to a differently-constructed reader must be refused
+	// with the typed fingerprint error for every implementation: same seed
+	// with different parameters, and same parameters with a different seed.
+	// Both are the silent-garbage cases a raw state merge cannot detect.
 	const n = 12
 	st := checkpointStream(n)
+	rows := []struct {
+		name     string
+		prof     plan.Profile
+		seed     uint64
+		readProf plan.Profile
+		readSeed uint64
+	}{
+		{"profile", plan.Lean, ckptSeed, plan.Balanced, ckptSeed},
+		{"seed", plan.Balanced, ckptSeed + 1, plan.Balanced, ckptSeed},
+	}
 	for _, tc := range checkpointCases {
 		t.Run(tc.name, func(t *testing.T) {
-			lean := tc.build(t, n, plan.Lean)
-			if err := stream.Apply(st[:len(st)/2], lean); err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if _, err := lean.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			balanced := tc.build(t, n, plan.Balanced)
-			if _, err := balanced.ReadFrom(&buf); !errors.Is(err, codec.ErrFingerprint) {
-				t.Fatalf("cross-profile ReadFrom: got %v, want codec.ErrFingerprint", err)
+			for _, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					src := tc.build(t, n, row.prof, row.seed)
+					if err := stream.Apply(st[:len(st)/2], src); err != nil {
+						t.Fatal(err)
+					}
+					var buf bytes.Buffer
+					if _, err := src.WriteTo(&buf); err != nil {
+						t.Fatal(err)
+					}
+					reader := tc.build(t, n, row.readProf, row.readSeed)
+					if _, err := reader.ReadFrom(&buf); !errors.Is(err, codec.ErrFingerprint) {
+						t.Fatalf("cross-%s ReadFrom: got %v, want codec.ErrFingerprint", row.name, err)
+					}
+				})
 			}
 		})
 	}
@@ -240,7 +256,7 @@ func TestCheckpointDeterministic(t *testing.T) {
 	st := checkpointStream(n)
 	for _, tc := range checkpointCases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := tc.build(t, n, plan.Balanced)
+			s := tc.build(t, n, plan.Balanced, ckptSeed)
 			if err := stream.Apply(st[:len(st)/2], s); err != nil {
 				t.Fatal(err)
 			}
@@ -257,4 +273,19 @@ func TestCheckpointDeterministic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// frameOf returns s's checkpoint frame. Two sketches of one construction
+// have equal frames exactly when their states are equal.
+func frameOf(t *testing.T, s graphsketch.Sketch) []byte {
+	t.Helper()
+	c, ok := s.(graphsketch.Checkpointer)
+	if !ok {
+		t.Fatalf("%T cannot checkpoint", s)
+	}
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

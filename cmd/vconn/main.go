@@ -9,8 +9,8 @@
 //	vconn -n 64 -k 3 -estimate < stream.txt
 //	    Estimate the vertex connectivity (capped at k).
 //
-// -subgraphs 0 selects the paper's Theorem 4 constants; -save/-load
-// checkpoint the sketch state between runs.
+// -subgraphs 0 selects the paper's Theorem 4 constants; -checkpoint/-restore
+// carry the sketch between runs as a framed, self-describing checkpoint.
 package main
 
 import (

@@ -11,10 +11,10 @@
 //     fresh process resumes via codec.Open — the frame alone reconstructs
 //     the sketch, no out-of-band parameters;
 //
-//  2. the same stream is split across three "machines" whose states are
-//     merged by a coordinator — decoding the merged state gives exactly
-//     the single-machine answer. (In-process the raw State/AddState bytes
-//     suffice; anything durable or transported should be framed.)
+//  2. the same stream is split across three "machines", each of which
+//     ships its state to a coordinator as a checkpoint frame; ReadFrom
+//     checks the frame's identity and adds it in, and decoding the sum
+//     gives exactly the single-machine answer.
 //
 //     go run ./examples/checkpoint
 package main
@@ -40,13 +40,19 @@ func main() {
 	fmt.Printf("workload: %d vertices, %d live edges, %d stream updates\n",
 		final.N(), final.EdgeCount(), len(st))
 
-	const seed = 777 // shared public randomness for all participants
-	dom := final.Domain()
-	cfg := sketch.SpanningConfig{}
+	// Shared public randomness and shape for all participants.
+	params := sketch.SpanningParams{N: final.N(), Seed: 777}
+	newSketch := func() *sketch.SpanningSketch {
+		s, err := sketch.NewSpanningSketch(params)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return s
+	}
 
 	// --- Part 1: checkpoint and resume ---------------------------------
 	half := len(st) / 2
-	first := sketch.NewSpanning(seed, dom, cfg)
+	first := newSketch()
 	if err := stream.Apply(st[:half], first); err != nil {
 		log.Fatal(err)
 	}
@@ -80,22 +86,24 @@ func main() {
 	// --- Part 2: sharded ingestion --------------------------------------
 	shards := make([]*sketch.SpanningSketch, 3)
 	for i := range shards {
-		shards[i] = sketch.NewSpanning(seed, dom, cfg)
+		shards[i] = newSketch()
 	}
 	for i, u := range st {
 		if err := shards[i%3].Update(u.Edge, int64(u.Op)); err != nil {
 			log.Fatal(err)
 		}
 	}
-	coordinator := sketch.NewSpanning(seed, dom, cfg)
-	total := 0
+	coordinator := newSketch()
 	for i, sh := range shards {
-		state := sh.State()
-		total += len(state)
-		if err := coordinator.AddState(state); err != nil {
+		var frame bytes.Buffer // stands in for the network
+		if _, err := sh.WriteTo(&frame); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("merged shard %d (%d bytes)\n", i, len(state))
+		n, err := coordinator.ReadFrom(&frame)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("merged shard %d (%d framed bytes)\n", i, n)
 	}
 	fm, err := coordinator.SpanningGraph()
 	if err != nil {

@@ -44,7 +44,7 @@ func TestAllStructuresReportHealth(t *testing.T) {
 	st := checkpointStream(n)
 	for _, tc := range checkpointCases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := tc.build(t, n, plan.Balanced)
+			s := tc.build(t, n, plan.Balanced, ckptSeed)
 			insp, ok := s.(obs.Inspector)
 			if !ok {
 				t.Fatalf("%T does not implement obs.Inspector", s)
@@ -83,7 +83,7 @@ func TestHealthReportsRegistry(t *testing.T) {
 	const n = 16
 	st := checkpointStream(n)
 	for _, tc := range checkpointCases {
-		s := tc.build(t, n, plan.Balanced)
+		s := tc.build(t, n, plan.Balanced, ckptSeed)
 		if err := stream.Apply(st, s); err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,13 @@
-// Package wrapper is the positive golden for the shell-opener pattern a
-// wrapping sketch uses (internal/hybrid): the registered opener cannot
-// reconstruct the wrapped inner from params alone, so it returns a pending
-// shell composite literal that Unmarshal completes later. The &Sketch{...}
-// literal inside the Register call's argument tree is what marks the type
-// as registered — no diagnostic expected.
+// Package wrapper is the positive golden for the opener a wrapping sketch
+// uses (internal/hybrid): the registered opener cannot reconstruct the
+// wrapped inner from params alone, so it restores the inner from the frame
+// embedded in the state and builds the wrapper around it in the same step.
+// The &Sketch{...} literal inside the Register call's argument tree is what
+// marks the type as registered — no diagnostic expected.
 package wrapper
 
 import (
+	"bytes"
 	"io"
 
 	"gsvettest/codec"
@@ -22,8 +23,8 @@ func (s *Sketch) WriteTo(w io.Writer) (int64, error)  { return 0, nil }
 func (s *Sketch) ReadFrom(r io.Reader) (int64, error) { return 0, nil }
 
 func init() {
-	codec.Register(codec.Tag(9), func(params []byte) (any, error) {
-		// Shell: no inner yet; the state's embedded frame supplies it.
-		return &Sketch{budget: len(params)}, nil
+	codec.Register(codec.Tag(9), func(params, state []byte) (any, error) {
+		// The inner comes from the state's embedded frame.
+		return &Sketch{budget: len(params), inner: bytes.NewReader(state)}, nil
 	})
 }

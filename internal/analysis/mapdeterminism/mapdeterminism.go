@@ -5,11 +5,13 @@
 // identical on every encode of the same state, and the commsim referee and
 // checkpoint conformance tests compare encodings byte-for-byte. Go
 // randomizes map iteration order per run, so a map range anywhere on a
-// WriteTo/Marshal/encode path silently breaks that contract — the class of
+// WriteTo/State/encode path silently breaks that contract — the class of
 // bug this analyzer removes before it reaches the fuzzer.
 //
 // Scope: functions named exactly WriteTo, MarshalBinary, AppendBinary, or
-// GobEncode anywhere; functions whose name starts with Write/Encode/
+// GobEncode anywhere; the sketches' raw state encoders, which checkpoint
+// and share frames wrap byte for byte (State, state, VertexShare);
+// functions whose name starts with Write/Encode/
 // Marshal/Append (either case) anywhere; and every function in a package
 // whose import path ends in /codec (the codec package is the encode path).
 // Iterate a sorted copy instead, or suppress with a documented
@@ -27,16 +29,20 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "mapdeterminism",
-	Doc:  "flags range-over-map in WriteTo/Marshal/encode paths, which breaks byte-deterministic wire encoding",
+	Doc:  "flags range-over-map in WriteTo/State/encode paths, which breaks byte-deterministic wire encoding",
 	Run:  run,
 }
 
-// exactNames are encode entry points from the standard interfaces.
+// exactNames are encode entry points from the standard interfaces, plus
+// the raw state encoders whose bytes become frame interiors.
 var exactNames = map[string]bool{
 	"WriteTo":       true,
 	"MarshalBinary": true,
 	"AppendBinary":  true,
 	"GobEncode":     true,
+	"State":         true,
+	"state":         true,
+	"VertexShare":   true,
 }
 
 // namePrefixes mark helper functions on the encode path by convention.

@@ -58,6 +58,34 @@ func (s *Sketch) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
+// State is a raw state encoder: its bytes become a checkpoint frame's
+// interior, so map order would reach the wire.
+func (s *Sketch) State() []byte {
+	var b []byte
+	for k, v := range s.buckets { // want `range over map s\.buckets in encode path State`
+		b = fmt.Appendf(b, "%s=%d\n", k, v)
+	}
+	return b
+}
+
+// state is the unexported spelling of the same encoder.
+func (s *Sketch) state() []byte {
+	var b []byte
+	for k := range s.buckets { // want `range over map s\.buckets in encode path state`
+		b = append(b, k...)
+	}
+	return b
+}
+
+// VertexShare encodes one vertex's share for a share frame.
+func (s *Sketch) VertexShare(v int) []byte {
+	var b []byte
+	for k, w := range s.buckets { // want `range over map s\.buckets in encode path VertexShare`
+		b = fmt.Appendf(b, "%d:%s=%d\n", v, k, w)
+	}
+	return b
+}
+
 // total is not an encode path; map iteration is fine here.
 func total(m map[string]int64) int64 {
 	var t int64

@@ -207,7 +207,15 @@ func TestGSDKillRestoreDrill(t *testing.T) {
 	if err := stream.Apply(st, serial); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gathered.Marshal(), serial.Marshal()) {
+	got, err := checkpointBytes(gathered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := checkpointBytes(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
 		t.Fatal("state after process kill-and-restore differs from serial baseline")
 	}
 }

@@ -45,7 +45,7 @@ func FuzzCodecDecode(f *testing.F) {
 			t.Fatalf("DecodeFrame: untyped error %v", err)
 		}
 		if _, err := Open(bytes.NewReader(data)); err != nil && IsDecodeError(err) == false {
-			// Open may also fail inside a registered opener or Unmarshal on
+			// Open may also fail inside a registered opener on
 			// a frame that happens to validate; those errors wrap package
 			// sentinels from the sketch packages, not ours, and are fine.
 			// What must never happen is a panic — reaching here proves that.

@@ -11,11 +11,13 @@ import (
 	"graphsketch"
 )
 
-// Opener reconstructs an empty sketch from its decoded params encoding.
-// Each sketch package registers one per tag in an init function; the
-// registry is what lets Open rebuild a sketch from a checkpoint frame alone
-// without this package importing (and cycling with) the sketch packages.
-type Opener func(params []byte) (graphsketch.Sketch, error)
+// Opener reconstructs a sketch from a checkpoint frame's params encoding
+// and restores the frame's state into it, in one step; when it returns an
+// error, Open discards the sketch. Each sketch package registers one per
+// tag in an init function; the registry is what lets Open rebuild a sketch
+// from a checkpoint frame alone without this package importing (and
+// cycling with) the sketch packages.
+type Opener func(params, state []byte) (graphsketch.Sketch, error)
 
 var (
 	regMu   sync.RWMutex
@@ -92,6 +94,39 @@ func splitCheckpoint(payload []byte) (params, state []byte, err error) {
 	return payload[4 : 4+plen], payload[4+plen:], nil
 }
 
+// AppendParts appends each part prefixed by its length as a big-endian
+// uint64. It is the state layout of the composite sketches built from
+// several same-package sub-sketches (the estimator's scales, the
+// sparsifier's levels).
+func AppendParts(dst []byte, parts ...[]byte) []byte {
+	for _, p := range parts {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(len(p)))
+		dst = append(dst, p...)
+	}
+	return dst
+}
+
+// SplitParts is the inverse of AppendParts: it splits b into exactly n
+// length-prefixed parts and rejects truncated or trailing bytes.
+func SplitParts(b []byte, n int) ([][]byte, error) {
+	parts := make([][]byte, n)
+	for i := range parts {
+		if len(b) < 8 {
+			return nil, fmt.Errorf("codec: state part %d of %d missing: %w", i, n, ErrTruncated)
+		}
+		plen := binary.BigEndian.Uint64(b)
+		b = b[8:]
+		if uint64(len(b)) < plen {
+			return nil, fmt.Errorf("codec: state part %d length %d exceeds state: %w", i, plen, ErrTruncated)
+		}
+		parts[i], b = b[:plen], b[plen:]
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("codec: %d trailing state bytes after %d parts: %w", len(b), n, ErrUnknownType)
+	}
+	return parts, nil
+}
+
 // ReadCheckpoint reads a checkpoint frame from r for a receiver whose
 // identity is (wantTag, wantFP), verifying the frame matches before
 // returning the state bytes: the typed replacement for "restore onto an
@@ -126,10 +161,10 @@ func ReadCheckpoint(r io.Reader, wantTag Tag, wantFP uint64) (n int64, state []b
 }
 
 // Open reads one checkpoint frame from r, reconstructs the sketch it
-// describes from the embedded params via the registered opener, restores
-// the state, and returns the live sketch. This is the from-cold restore
-// path: nothing about the sketch needs to be known in advance — the frame
-// is self-describing. Decode failures are the package sentinels; opener
+// describes from the embedded params and state via the registered opener,
+// and returns the live sketch. This is the from-cold restore path: nothing
+// about the sketch needs to be known in advance — the frame is
+// self-describing. Decode failures are the package sentinels; opener
 // errors (e.g. params that fail constructor validation) are returned
 // wrapped.
 func Open(r io.Reader) (graphsketch.Sketch, error) {
@@ -159,14 +194,10 @@ func Open(r io.Reader) (graphsketch.Sketch, error) {
 		cdm.reject(err)
 		return nil, err
 	}
-	s, err := open(params)
+	s, err := open(params, state)
 	if err != nil {
 		cdm.reject(err)
-		return nil, fmt.Errorf("codec: reconstructing %v: %w", h.Tag, err)
-	}
-	if err := s.Unmarshal(state); err != nil {
-		cdm.reject(err)
-		return nil, fmt.Errorf("codec: restoring %v state: %w", h.Tag, err)
+		return nil, fmt.Errorf("codec: opening %v: %w", h.Tag, err)
 	}
 	cdm.ckptReads.Inc()
 	cdm.ckptReadBytes.Add(n)

@@ -206,12 +206,13 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 	return s.skeleton.AddScaled(so.skeleton, 1)
 }
 
-// Marshal serializes the sketch contents for checkpointing; parameters are
-// the structure's identity and are not serialized.
-func (s *Sketch) Marshal() []byte { return s.skeleton.State() }
+// state serializes the sketch contents: the raw interior of its checkpoint
+// frame. Parameters are the structure's identity and are not in it.
+func (s *Sketch) state() []byte { return s.skeleton.State() }
 
-// Unmarshal merges serialized contents into the sketch (linearly).
-func (s *Sketch) Unmarshal(data []byte) error {
+// addState merges a state produced by state on an identically-parameterized
+// sketch (linearly).
+func (s *Sketch) addState(data []byte) error {
 	s.decoded = nil
 	return s.skeleton.AddState(data)
 }

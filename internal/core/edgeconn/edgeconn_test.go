@@ -226,7 +226,7 @@ func TestParamsConstruction(t *testing.T) {
 	if err := b.UpdateGraph(h, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Marshal(), b.Marshal()) {
+	if !bytes.Equal(a.state(), b.state()) {
 		t.Fatal("identical Params diverge: serialized state differs")
 	}
 	if _, err := New(Params{N: h.N(), K: 0}); err == nil {

@@ -27,7 +27,7 @@ func (s *Sketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagReconstr, s.wireParams(), s.Marshal())
+	return codec.WriteCheckpoint(w, codec.TagReconstr, s.wireParams(), s.State())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
@@ -38,7 +38,7 @@ func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	return n, s.Unmarshal(state)
+	return n, s.AddState(state)
 }
 
 // VertexShareFrame frames vertex v's share for transport.
@@ -81,7 +81,7 @@ func (b *BeckerSketch) AddVertexShareFrame(data []byte) ([]byte, error) {
 }
 
 func init() {
-	codec.Register(codec.TagReconstr, func(params []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagReconstr, func(params, state []byte) (graphsketch.Sketch, error) {
 		vs, rest, err := codec.ReadUint64s(params, 4+sketch.WireConfigWords)
 		if err != nil {
 			return nil, err
@@ -105,7 +105,11 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return New(Params{N: n, R: r, K: k, Spanning: cfg, Seed: vs[8]})
+		s, err := New(Params{N: n, R: r, K: k, Spanning: cfg, Seed: vs[8]})
+		if err != nil {
+			return nil, err
+		}
+		return s, s.AddState(state)
 	})
 }
 

@@ -120,12 +120,14 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 	return s.AddScaled(so, 1)
 }
 
-// Marshal serializes the sketch contents for checkpointing; parameters are
-// the structure's identity and are not serialized.
-func (s *Sketch) Marshal() []byte { return s.skeleton.State() }
+// State serializes the sketch contents: the raw interior of its checkpoint
+// frame, and the per-level part of the sparsifier's. Parameters are the
+// structure's identity and are not in it.
+func (s *Sketch) State() []byte { return s.skeleton.State() }
 
-// Unmarshal merges serialized contents into the sketch (linearly).
-func (s *Sketch) Unmarshal(data []byte) error { return s.skeleton.AddState(data) }
+// AddState merges a state produced by State on an identically-parameterized
+// sketch (linearly).
+func (s *Sketch) AddState(data []byte) error { return s.skeleton.AddState(data) }
 
 var _ graphsketch.Sharded = (*Sketch)(nil)
 

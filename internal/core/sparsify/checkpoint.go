@@ -28,7 +28,7 @@ func (s *Sketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagSparsify, s.wireParams(), s.Marshal())
+	return codec.WriteCheckpoint(w, codec.TagSparsify, s.wireParams(), s.state())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
@@ -39,7 +39,32 @@ func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	return n, s.Unmarshal(state)
+	return n, s.addState(state)
+}
+
+// state serializes every level's contents as length-prefixed parts: the
+// raw interior of the sparsifier's checkpoint frame.
+func (s *Sketch) state() []byte {
+	parts := make([][]byte, len(s.levels))
+	for i, l := range s.levels {
+		parts[i] = l.State()
+	}
+	return codec.AppendParts(nil, parts...)
+}
+
+// addState merges a state produced by state on an identically-parameterized
+// sketch (linearly).
+func (s *Sketch) addState(data []byte) error {
+	parts, err := codec.SplitParts(data, len(s.levels))
+	if err != nil {
+		return err
+	}
+	for i, l := range s.levels {
+		if err := l.AddState(parts[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // VertexShareFrame frames vertex v's share across all levels for transport.
@@ -71,7 +96,7 @@ func (s *Sketch) AddVertexShareFrame(data []byte) ([]byte, error) {
 }
 
 func init() {
-	codec.Register(codec.TagSparsify, func(params []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagSparsify, func(params, state []byte) (graphsketch.Sketch, error) {
 		vs, rest, err := codec.ReadUint64s(params, 5+sketch.WireConfigWords)
 		if err != nil {
 			return nil, err
@@ -89,10 +114,14 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return New(Params{
+		s, err := New(Params{
 			N: fields[0], R: fields[1], K: fields[2], Levels: fields[3],
 			Spanning: cfg, Seed: vs[9],
 		})
+		if err != nil {
+			return nil, err
+		}
+		return s, s.addState(state)
 	})
 }
 

@@ -17,7 +17,6 @@
 package sparsify
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -28,7 +27,6 @@ import (
 	"graphsketch/internal/graph"
 	"graphsketch/internal/hashutil"
 	"graphsketch/internal/obs"
-	"graphsketch/internal/recovery"
 	"graphsketch/internal/sketch"
 )
 
@@ -244,43 +242,6 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 		if err := s.levels[i].AddScaled(so.levels[i], 1); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Marshal serializes every level's contents, each length-prefixed so
-// Unmarshal can split them back (graphsketch.Sketch). Parameters are the
-// structure's identity and are not serialized.
-func (s *Sketch) Marshal() []byte {
-	var b []byte
-	for _, l := range s.levels {
-		state := l.Marshal()
-		b = binary.BigEndian.AppendUint64(b, uint64(len(state)))
-		b = append(b, state...)
-	}
-	return b
-}
-
-// Unmarshal merges serialized contents into the sketch (linearly); the
-// data must come from an identically-parameterized sketch.
-func (s *Sketch) Unmarshal(data []byte) error {
-	b := data
-	for _, l := range s.levels {
-		if len(b) < 8 {
-			return recovery.ErrShortBuffer
-		}
-		n := binary.BigEndian.Uint64(b)
-		b = b[8:]
-		if uint64(len(b)) < n {
-			return recovery.ErrShortBuffer
-		}
-		if err := l.Unmarshal(b[:n]); err != nil {
-			return err
-		}
-		b = b[n:]
-	}
-	if len(b) != 0 {
-		return sketch.ErrShare
 	}
 	return nil
 }

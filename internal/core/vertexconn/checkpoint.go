@@ -29,7 +29,7 @@ func (s *Sketch) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagVertexConn, s.wireParams(), s.Marshal())
+	return codec.WriteCheckpoint(w, codec.TagVertexConn, s.wireParams(), s.State())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the sketch
@@ -40,7 +40,7 @@ func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	return n, s.Unmarshal(state)
+	return n, s.AddState(state)
 }
 
 // VertexShareFrame frames vertex v's share for transport.
@@ -78,7 +78,7 @@ func (e *Estimator) Fingerprint() uint64 {
 
 // WriteTo writes a self-describing checkpoint frame (graphsketch.Checkpointer).
 func (e *Estimator) WriteTo(w io.Writer) (int64, error) {
-	return codec.WriteCheckpoint(w, codec.TagEstimator, e.wireParams(), e.Marshal())
+	return codec.WriteCheckpoint(w, codec.TagEstimator, e.wireParams(), e.state())
 }
 
 // ReadFrom reads a checkpoint frame and merges its state into the estimator
@@ -89,11 +89,36 @@ func (e *Estimator) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	return n, e.Unmarshal(state)
+	return n, e.addState(state)
+}
+
+// state serializes every scale's contents as length-prefixed parts: the
+// raw interior of the estimator's checkpoint frame.
+func (e *Estimator) state() []byte {
+	parts := make([][]byte, len(e.scales))
+	for i, s := range e.scales {
+		parts[i] = s.State()
+	}
+	return codec.AppendParts(nil, parts...)
+}
+
+// addState merges a state produced by state on an identically-parameterized
+// estimator (linearly).
+func (e *Estimator) addState(data []byte) error {
+	parts, err := codec.SplitParts(data, len(e.scales))
+	if err != nil {
+		return err
+	}
+	for i, s := range e.scales {
+		if err := s.AddState(parts[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func init() {
-	codec.Register(codec.TagVertexConn, func(params []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagVertexConn, func(params, state []byte) (graphsketch.Sketch, error) {
 		vs, rest, err := codec.ReadUint64s(params, 5+sketch.WireConfigWords)
 		if err != nil {
 			return nil, err
@@ -111,12 +136,16 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return New(Params{
+		s, err := New(Params{
 			N: fields[0], R: fields[1], K: fields[2], Subgraphs: fields[3],
 			Spanning: cfg, Seed: vs[9],
 		})
+		if err != nil {
+			return nil, err
+		}
+		return s, s.AddState(state)
 	})
-	codec.Register(codec.TagEstimator, func(params []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagEstimator, func(params, state []byte) (graphsketch.Sketch, error) {
 		head, rest, err := codec.ReadUint64s(params, 5)
 		if err != nil {
 			return nil, err
@@ -162,11 +191,15 @@ func init() {
 				return nil, err
 			}
 		}
-		return NewEstimator(EstimatorParams{
+		e, err := NewEstimator(EstimatorParams{
 			N: n, R: r, KMax: kmax, Seed: head[3],
 			// Scale k = 2^i sits at index i.
 			SubgraphsAt: func(k int) int { return counts[bits.Len(uint(k))-1] },
 		})
+		if err != nil {
+			return nil, err
+		}
+		return e, e.addState(state)
 	})
 }
 

@@ -1,12 +1,10 @@
 package vertexconn
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"graphsketch"
 	"graphsketch/internal/graph"
-	"graphsketch/internal/recovery"
 	"graphsketch/internal/sketch"
 )
 
@@ -137,43 +135,6 @@ func (e *Estimator) Merge(o graphsketch.Sketch) error {
 		if err := e.scales[i].Merge(oe.scales[i]); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Marshal serializes every scale's contents, each length-prefixed so
-// Unmarshal can split them back (graphsketch.Sketch). Parameters are the
-// structure's identity and are not serialized.
-func (e *Estimator) Marshal() []byte {
-	var b []byte
-	for _, s := range e.scales {
-		state := s.Marshal()
-		b = binary.BigEndian.AppendUint64(b, uint64(len(state)))
-		b = append(b, state...)
-	}
-	return b
-}
-
-// Unmarshal merges serialized contents into the estimator (linearly); the
-// data must come from an identically-parameterized estimator.
-func (e *Estimator) Unmarshal(data []byte) error {
-	b := data
-	for _, s := range e.scales {
-		if len(b) < 8 {
-			return recovery.ErrShortBuffer
-		}
-		n := binary.BigEndian.Uint64(b)
-		b = b[8:]
-		if uint64(len(b)) < n {
-			return recovery.ErrShortBuffer
-		}
-		if err := s.Unmarshal(b[:n]); err != nil {
-			return err
-		}
-		b = b[n:]
-	}
-	if len(b) != 0 {
-		return sketch.ErrShare
 	}
 	return nil
 }

@@ -373,9 +373,9 @@ func (s *Sketch) AddVertexShare(v int, data []byte) error {
 }
 
 // State serializes the sketch's full contents — every vertex's share in
-// order — for checkpointing a long-running stream consumer. Parameters and
-// membership are the structure's public identity and are not serialized;
-// restore by constructing an identically-parameterized sketch first.
+// order — as the raw interior of a checkpoint frame (see
+// sketch.SpanningSketch.State). Parameters and membership are the
+// structure's public identity and are not in it.
 func (s *Sketch) State() []byte {
 	var b []byte
 	for v := 0; v < s.p.N; v++ {
@@ -427,14 +427,6 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 	}
 	return nil
 }
-
-// Marshal serializes the sketch contents (graphsketch.Sketch); identical to
-// State.
-func (s *Sketch) Marshal() []byte { return s.State() }
-
-// Unmarshal merges serialized contents into the sketch; identical to
-// AddState.
-func (s *Sketch) Unmarshal(data []byte) error { return s.AddState(data) }
 
 var _ graphsketch.Sharded = (*Sketch)(nil)
 

@@ -37,9 +37,6 @@ func (s *Sketch) SpanningGraph() (*graph.Hypergraph, error) {
 // parent (nil starts a fresh trace). The all-exact fast path emits a
 // trace-only span so recorded trees show which route a decode took.
 func (s *Sketch) SpanningGraphTraced(parent *obs.Span) (*graph.Hypergraph, error) {
-	if err := s.ready(); err != nil {
-		return nil, err
-	}
 	sp, ok := s.inner.(*sketch.SpanningSketch)
 	if !ok {
 		return nil, fmt.Errorf("hybrid: SpanningGraph needs a *sketch.SpanningSketch inner, have %T", s.inner)
@@ -84,9 +81,6 @@ func (s *Sketch) Decode() (*graph.Hypergraph, error) {
 // DecodeTraced is Decode with the decode spans hung under parent (nil
 // starts a fresh trace).
 func (s *Sketch) DecodeTraced(parent *obs.Span) (*graph.Hypergraph, error) {
-	if err := s.ready(); err != nil {
-		return nil, err
-	}
 	switch s.inner.(type) {
 	case *sketch.SpanningSketch:
 		return s.SpanningGraphTraced(parent)

@@ -16,7 +16,7 @@
 // semantic no-op: it moves mass from the exact term to the sketched term
 // without changing their sum. That is the spill invariant every operation
 // here preserves, and it is why Merge, checkpoint restore (linear
-// Unmarshal), skeleton peeling, and the engine's sharded ingestion all keep
+// AddState), skeleton peeling, and the engine's sharded ingestion all keep
 // working unchanged on the spilled part (the properties Theorems 2/13 of
 // the source paper need). SpillAll makes the invariant testable: after
 // spilling every vertex the inner sketch holds the same linear state as a
@@ -44,7 +44,6 @@ package hybrid
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -67,21 +66,21 @@ var (
 	// ErrInnerMismatch is returned when the two inner sketches were
 	// constructed differently (their wire fingerprints disagree).
 	ErrInnerMismatch = errors.New("hybrid: inner sketches constructed differently")
-	// ErrPending is returned by operations on a sketch reconstructed from a
-	// checkpoint frame's params before Unmarshal restored its state.
-	ErrPending = errors.New("hybrid: sketch opened from a frame but state not yet restored")
 )
 
 // Inner is the contract a wrapped sketch must satisfy: vertex-sharded
 // linear updates (so spilling one vertex's buffer can target exactly that
 // vertex's share), checkpointing (the hybrid's wire state embeds the
-// inner's own frame), and a wire fingerprint (the hybrid's identity commits
-// to the inner's). Both sketch.SpanningSketch and sketch.SkeletonSketch
-// satisfy it.
+// inner's own frame), the raw State/AddState pair (restoring a hybrid folds
+// the embedded inner in by state), and a wire fingerprint (the hybrid's
+// identity commits to the inner's). Both sketch.SpanningSketch and
+// sketch.SkeletonSketch satisfy it.
 type Inner interface {
 	graphsketch.Sharded
 	io.WriterTo
 	io.ReaderFrom
+	State() []byte
+	AddState(data []byte) error
 	Domain() graph.Domain
 	Fingerprint() uint64
 	SharedWords() int
@@ -110,11 +109,6 @@ type Sketch struct {
 	// support size while it remains exact.
 	keys [][]uint64
 	ws   [][]int64
-
-	// wantInnerFP is set only on shells built by the codec opener: the
-	// inner fingerprint recorded in the frame params, checked against the
-	// embedded inner frame when Unmarshal adopts it.
-	wantInnerFP uint64
 }
 
 // New wraps inner in the adaptive hybrid representation. budget is the
@@ -143,13 +137,6 @@ func New(inner Inner, budget int) (*Sketch, error) {
 		keys:       make([][]uint64, n),
 		ws:         make([][]int64, n),
 	}, nil
-}
-
-func (s *Sketch) ready() error {
-	if s.inner == nil {
-		return ErrPending
-	}
-	return nil
 }
 
 // Inner returns the wrapped sketch. Its state is only the spilled part of
@@ -186,9 +173,6 @@ func (s *Sketch) BufferLen(v int) int { return len(s.keys[v]) }
 // Update applies the insertion (delta = +1) or deletion (delta = −1) of
 // hyperedge e, or a weighted variant (graphsketch.Updater).
 func (s *Sketch) Update(e graph.Hyperedge, delta int64) error {
-	if err := s.ready(); err != nil {
-		return err
-	}
 	return s.UpdateEdgeRange(e, delta, 0, s.dom.N())
 }
 
@@ -198,9 +182,6 @@ func (s *Sketch) Update(e graph.Hyperedge, delta int64) error {
 // and spilling), spilled endpoints forward to the inner sketch's share of
 // exactly that vertex.
 func (s *Sketch) UpdateEdgeRange(e graph.Hyperedge, delta int64, lo, hi int) error {
-	if err := s.ready(); err != nil {
-		return err
-	}
 	if delta == 0 {
 		return nil
 	}
@@ -241,9 +222,6 @@ func (s *Sketch) UpdateEdgeRange(e graph.Hyperedge, delta int64, lo, hi int) err
 // UpdateBatch applies a slice of weighted updates in order
 // (graphsketch.Updater).
 func (s *Sketch) UpdateBatch(batch []graph.WeightedEdge) error {
-	if err := s.ready(); err != nil {
-		return err
-	}
 	return s.UpdateBatchRange(batch, 0, s.dom.N())
 }
 
@@ -254,9 +232,6 @@ func (s *Sketch) UpdateBatch(batch []graph.WeightedEdge) error {
 // spilled hybrid therefore ingests dense batches at the inner sketch's
 // speed, which is what keeps the dense benchmarks regression-free.
 func (s *Sketch) UpdateBatchRange(batch []graph.WeightedEdge, lo, hi int) error {
-	if err := s.ready(); err != nil {
-		return err
-	}
 	run := 0
 	for i := range batch {
 		if s.allSpilled(batch[i].E, lo, hi) {
@@ -368,14 +343,11 @@ func (s *Sketch) replayExact(v int, ks []uint64, vs []int64) error {
 }
 
 // SpillAll spills every still-exact vertex. Afterwards the inner sketch
-// holds the whole stream: its state is byte-identical (Marshal equality) to
+// holds the whole stream: its state is byte-identical (State equality) to
 // a pure sketch fed the same updates, which is how decode paths without a
 // mixed-mode implementation (skeleton peeling) reuse the inner machinery
 // unchanged, and how the property tests pin the spill invariant.
 func (s *Sketch) SpillAll() error {
-	if err := s.ready(); err != nil {
-		return err
-	}
 	for v := range s.spilled {
 		if !s.spilled[v] {
 			if err := s.spill(v); err != nil {
@@ -394,12 +366,6 @@ func (s *Sketch) Merge(o graphsketch.Sketch) error {
 	ho, ok := o.(*Sketch)
 	if !ok {
 		return graphsketch.ErrMergeMismatch
-	}
-	if err := s.ready(); err != nil {
-		return err
-	}
-	if err := ho.ready(); err != nil {
-		return err
 	}
 	if s.budget != ho.budget {
 		return ErrBudgetMismatch
@@ -461,9 +427,6 @@ func (s *Sketch) addExact(v int, ks []uint64, vs []int64) error {
 
 // Clone returns a deep copy (buffers, spill flags, and inner sketch).
 func (s *Sketch) Clone() (*Sketch, error) {
-	if err := s.ready(); err != nil {
-		return nil, err
-	}
 	in, err := cloneInner(s.inner)
 	if err != nil {
 		return nil, err
@@ -515,9 +478,6 @@ func cloneInner(in Inner) (Inner, error) {
 // two words per buffered entry plus the spill flags (one word per 64
 // vertices, as serialized).
 func (s *Sketch) Words() int {
-	if s.inner == nil {
-		return 0
-	}
 	w := s.inner.Words() + (len(s.spilled)+63)/64
 	for v := range s.keys {
 		w += 2 * len(s.keys[v])
@@ -530,171 +490,11 @@ func (s *Sketch) Words() int {
 // buffers and spill flags. This is the number the sparse-stream space
 // comparison against the pure sketch's StateWords uses.
 func (s *Sketch) StateWords() int {
-	if s.inner == nil {
-		return 0
-	}
 	w := s.inner.Words() - s.inner.SharedWords() + (len(s.spilled)+63)/64
 	for v := range s.keys {
 		w += 2 * len(s.keys[v])
 	}
 	return w
-}
-
-// Marshal serializes the sketch contents (graphsketch.Sketch): a
-// length-prefixed embedded checkpoint frame of the inner sketch, the spill
-// bitmap, then each unspilled vertex's sorted buffer. Unlike the other
-// sketches' raw interiors this embeds the inner's full self-describing
-// frame — the hybrid's own params (budget, inner fingerprint) cannot
-// reconstruct the inner sketch, so the state must carry it.
-func (s *Sketch) Marshal() []byte {
-	if s.inner == nil {
-		return nil
-	}
-	var inner bytes.Buffer
-	if _, err := s.inner.WriteTo(&inner); err != nil {
-		// Writes to a bytes.Buffer cannot fail; a checkpointable inner that
-		// errors here is broken beyond what Marshal can report.
-		panic(fmt.Sprintf("hybrid: inner WriteTo failed: %v", err))
-	}
-	b := binary.LittleEndian.AppendUint64(nil, uint64(inner.Len()))
-	b = append(b, inner.Bytes()...)
-	n := len(s.spilled)
-	for w := 0; w < (n+63)/64; w++ {
-		var word uint64
-		for bit := 0; bit < 64 && w*64+bit < n; bit++ {
-			if s.spilled[w*64+bit] {
-				word |= 1 << bit
-			}
-		}
-		b = binary.LittleEndian.AppendUint64(b, word)
-	}
-	for v := 0; v < n; v++ {
-		if s.spilled[v] {
-			continue
-		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s.keys[v])))
-		for i, key := range s.keys[v] {
-			b = binary.LittleEndian.AppendUint64(b, key)
-			b = binary.LittleEndian.AppendUint64(b, uint64(s.ws[v][i]))
-		}
-	}
-	return b
-}
-
-// Unmarshal restores contents produced by Marshal (graphsketch.Sketch). On
-// a shell reconstructed by the codec opener it adopts the embedded inner
-// frame (verifying it against the fingerprint the params recorded); on a
-// constructed sketch it adds linearly, resolving mixed exact/spilled
-// vertices exactly as Merge does.
-func (s *Sketch) Unmarshal(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("hybrid: state of %d bytes: %w", len(data), codec.ErrTruncated)
-	}
-	flen := binary.LittleEndian.Uint64(data)
-	rest := data[8:]
-	if uint64(len(rest)) < flen {
-		return fmt.Errorf("hybrid: inner frame length %d exceeds state: %w", flen, codec.ErrTruncated)
-	}
-	frame, rest := rest[:flen], rest[flen:]
-	opened, err := codec.Open(bytes.NewReader(frame))
-	if err != nil {
-		return fmt.Errorf("hybrid: embedded inner frame: %w", err)
-	}
-	in, ok := opened.(Inner)
-	if !ok {
-		return fmt.Errorf("hybrid: embedded frame decodes to %T, which cannot back a hybrid sketch: %w", opened, codec.ErrUnknownType)
-	}
-	spilled, keys, ws, err := parseExactState(rest, in.Domain(), s.maxEntries)
-	if err != nil {
-		return err
-	}
-	if s.inner == nil {
-		if s.wantInnerFP != 0 && in.Fingerprint() != s.wantInnerFP {
-			return fmt.Errorf("hybrid: embedded inner frame is %016x, params recorded %016x: %w",
-				in.Fingerprint(), s.wantInnerFP, codec.ErrFingerprint)
-		}
-		s.inner, s.dom = in, in.Domain()
-		s.spilled, s.keys, s.ws = spilled, keys, ws
-		return nil
-	}
-	if in.Fingerprint() != s.inner.Fingerprint() {
-		return ErrInnerMismatch
-	}
-	if err := s.mergeParts(spilled, keys, ws); err != nil {
-		return err
-	}
-	// Fold the opened inner in by state, not by Merge: fingerprint equality
-	// (checked above) is the canonical compatibility test, whereas Merge
-	// compares raw in-memory configs, which may differ in defaulted fields
-	// between a constructor-built inner and its wire-roundtripped twin.
-	return s.inner.Unmarshal(in.Marshal())
-}
-
-// parseExactState decodes and validates the bitmap+buffers tail of a
-// marshalled hybrid state.
-func parseExactState(b []byte, dom graph.Domain, maxEntries int) (spilled []bool, keys [][]uint64, ws [][]int64, err error) {
-	n := dom.N()
-	words := (n + 63) / 64
-	if len(b) < 8*words {
-		return nil, nil, nil, fmt.Errorf("hybrid: spill bitmap short: %w", codec.ErrTruncated)
-	}
-	spilled = make([]bool, n)
-	for w := 0; w < words; w++ {
-		word := binary.LittleEndian.Uint64(b[8*w:])
-		hiBits := 64
-		if w == words-1 && n%64 != 0 {
-			hiBits = n % 64
-		}
-		if hiBits < 64 && word>>uint(hiBits) != 0 {
-			return nil, nil, nil, fmt.Errorf("hybrid: spill bitmap has bits beyond vertex %d: %w", n, codec.ErrUnknownType)
-		}
-		for bit := 0; bit < hiBits; bit++ {
-			spilled[w*64+bit] = word&(1<<bit) != 0
-		}
-	}
-	b = b[8*words:]
-	keys = make([][]uint64, n)
-	ws = make([][]int64, n)
-	for v := 0; v < n; v++ {
-		if spilled[v] {
-			continue
-		}
-		if len(b) < 4 {
-			return nil, nil, nil, fmt.Errorf("hybrid: buffer of vertex %d missing: %w", v, codec.ErrTruncated)
-		}
-		cnt := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if cnt > maxEntries {
-			return nil, nil, nil, fmt.Errorf("hybrid: vertex %d buffer of %d entries exceeds budget: %w", v, cnt, codec.ErrUnknownType)
-		}
-		if len(b) < 16*cnt {
-			return nil, nil, nil, fmt.Errorf("hybrid: vertex %d buffer truncated: %w", v, codec.ErrTruncated)
-		}
-		if cnt == 0 {
-			continue
-		}
-		ks := make([]uint64, cnt)
-		vs := make([]int64, cnt)
-		for i := 0; i < cnt; i++ {
-			ks[i] = binary.LittleEndian.Uint64(b)
-			vs[i] = int64(binary.LittleEndian.Uint64(b[8:]))
-			b = b[16:]
-			if i > 0 && ks[i] <= ks[i-1] {
-				return nil, nil, nil, fmt.Errorf("hybrid: vertex %d buffer keys not strictly increasing: %w", v, codec.ErrUnknownType)
-			}
-			if vs[i] == 0 {
-				return nil, nil, nil, fmt.Errorf("hybrid: vertex %d buffer holds a zero-weight entry: %w", v, codec.ErrUnknownType)
-			}
-			if ks[i] >= dom.Size() {
-				return nil, nil, nil, fmt.Errorf("hybrid: vertex %d buffer key outside the domain: %w", v, codec.ErrUnknownType)
-			}
-		}
-		keys[v], ws[v] = ks, vs
-	}
-	if len(b) != 0 {
-		return nil, nil, nil, fmt.Errorf("hybrid: %d trailing state bytes: %w", len(b), codec.ErrUnknownType)
-	}
-	return spilled, keys, ws, nil
 }
 
 var (

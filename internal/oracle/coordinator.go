@@ -59,9 +59,8 @@ func ForCoordinator(tr shardplane.Transport, proto shardplane.Member) (*Oracle, 
 
 // transportSketch adapts a shardplane.Transport to the mutation surface
 // Config.Sketch requires: updates route to the shards (and, via the
-// oracle, advance the epoch). The state lives on the shards, so the local
-// serialization surface is intentionally inert — merging or restoring a
-// coordinator proxy would silently bypass the plane.
+// oracle, advance the epoch). The state lives on the shards, so merging
+// into a coordinator proxy is refused — it would silently bypass the plane.
 type transportSketch struct {
 	tr shardplane.Transport
 
@@ -84,9 +83,3 @@ func (t *transportSketch) Merge(o graphsketch.Sketch) error {
 }
 
 func (t *transportSketch) Words() int { return 0 }
-
-func (t *transportSketch) Marshal() []byte { return nil }
-
-func (t *transportSketch) Unmarshal(data []byte) error {
-	return fmt.Errorf("oracle: coordinator proxy holds no local state to restore: %w", ErrCoordinatorProxy)
-}

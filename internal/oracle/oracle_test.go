@@ -434,17 +434,18 @@ func TestSketchPassthroughAndInvalidate(t *testing.T) {
 	if err := orc.UpdateBatch(h.WeightedEdges()); err != nil {
 		t.Fatal(err)
 	}
-	// Marshal/Unmarshal round-trip through the oracle: restoring the state
-	// into a fresh same-construction oracle doubles every cell (linearity),
-	// which for a {0,1} stream means decode still sees the same support.
-	blob := orc.Marshal()
+	// Merging another oracle in unwraps the argument and advances the
+	// epoch: orc2 now holds orc's state.
 	sp2 := sketch.NewSpanning(21, h.Domain(), sketch.SpanningConfig{})
 	orc2 := mustFor(t, sp2)
-	if err := orc2.Unmarshal(blob); err != nil {
+	if err := orc2.Merge(orc); err != nil {
 		t.Fatal(err)
 	}
 	if orc2.Epoch() == 0 {
-		t.Fatal("Unmarshal did not advance the epoch")
+		t.Fatal("Merge did not advance the epoch")
+	}
+	if !bytes.Equal(sp2.State(), sp.State()) {
+		t.Fatal("merged oracle state differs from the source sketch")
 	}
 
 	// Out-of-band mutation + Invalidate: the next query must rebuild.

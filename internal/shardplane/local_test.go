@@ -51,7 +51,7 @@ func TestLocalRouteMatchesSerial(t *testing.T) {
 	if err := serial.UpdateBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	want := serial.Marshal()
+	want := frameOf(t, serial)
 
 	for _, shards := range []int{1, 2, 3, 5, 32} {
 		sp := mustSpanning(t, n, seed)
@@ -65,7 +65,7 @@ func TestLocalRouteMatchesSerial(t *testing.T) {
 		if err := tr.Gather(sp); err != nil {
 			t.Fatalf("shards=%d: gather: %v", shards, err)
 		}
-		if !bytes.Equal(sp.Marshal(), want) {
+		if !bytes.Equal(frameOf(t, sp), want) {
 			t.Fatalf("shards=%d: routed state differs from serial", shards)
 		}
 		if err := tr.Close(); err != nil {

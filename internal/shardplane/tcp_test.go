@@ -3,6 +3,7 @@ package shardplane_test
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"testing"
 
@@ -126,6 +127,21 @@ func gatherFresh(t *testing.T, tr shardplane.Transport, proto shardplane.Member)
 	return fresh
 }
 
+// frameOf returns s's checkpoint frame. Sketches reopened from one frame
+// have equal frames exactly when their states are equal.
+func frameOf(t *testing.T, s graphsketch.Sketch) []byte {
+	t.Helper()
+	w, ok := s.(io.WriterTo)
+	if !ok {
+		t.Fatalf("%T cannot checkpoint", s)
+	}
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestThreeWayEquivalence is the plane's central promise: for every sketch
 // family the cluster serves, serial ingestion, the local transport, and a
 // three-shard TCP loopback cluster all produce byte-identical sketch state.
@@ -142,7 +158,7 @@ func TestThreeWayEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want := serial.Marshal()
+			want := frameOf(t, serial)
 
 			local := mk(seed)
 			lt := shardplane.NewLocal(local, shardplane.Options{Shards: 4})
@@ -155,7 +171,7 @@ func TestThreeWayEquivalence(t *testing.T) {
 			if err := lt.Gather(local); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(local.Marshal(), want) {
+			if !bytes.Equal(frameOf(t, local), want) {
 				t.Fatal("local transport state differs from serial")
 			}
 
@@ -172,7 +188,7 @@ func TestThreeWayEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got := gatherFresh(t, tr, proto).Marshal(); !bytes.Equal(got, want) {
+			if got := frameOf(t, gatherFresh(t, tr, proto)); !bytes.Equal(got, want) {
 				t.Fatal("TCP cluster state differs from serial")
 			}
 		})
@@ -254,7 +270,7 @@ func TestTCPKillRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := gatherFresh(t, tr, proto).Marshal(); !bytes.Equal(got, serial.Marshal()) {
+	if got := frameOf(t, gatherFresh(t, tr, proto)); !bytes.Equal(got, frameOf(t, serial)) {
 		t.Fatal("state after kill-and-restore differs from serial")
 	}
 	if got := reconnects.Value() - before; got < 1 {

@@ -12,7 +12,8 @@ import (
 // This file wires the spanning and skeleton sketches into the versioned wire
 // format (internal/codec): canonical params encodings, identity
 // fingerprints, WriteTo/ReadFrom checkpointing, framed vertex shares, and
-// the openers codec.Open uses to reconstruct a sketch from a frame alone.
+// the openers codec.Open uses to rebuild and restore a sketch from a frame
+// alone.
 
 // WireConfig returns the fully-defaulted configuration as the wire format
 // sees it: Rounds resolved against n and the sampler config resolved against
@@ -170,7 +171,7 @@ func paramsLenError(tag codec.Tag, rest []byte) error {
 }
 
 func init() {
-	codec.Register(codec.TagSpanning, func(params []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagSpanning, func(params, state []byte) (graphsketch.Sketch, error) {
 		vs, rest, err := codec.ReadUint64s(params, 8)
 		if err != nil {
 			return nil, err
@@ -190,9 +191,13 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewSpanningSketch(SpanningParams{N: n, R: r, Rounds: cfg.Rounds, Sampler: cfg.Sampler, Seed: vs[7]})
+		s, err := NewSpanningSketch(SpanningParams{N: n, R: r, Rounds: cfg.Rounds, Sampler: cfg.Sampler, Seed: vs[7]})
+		if err != nil {
+			return nil, err
+		}
+		return s, s.AddState(state)
 	})
-	codec.Register(codec.TagSkeleton, func(params []byte) (graphsketch.Sketch, error) {
+	codec.Register(codec.TagSkeleton, func(params, state []byte) (graphsketch.Sketch, error) {
 		vs, rest, err := codec.ReadUint64s(params, 9)
 		if err != nil {
 			return nil, err
@@ -216,7 +221,11 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewSkeletonSketch(SkeletonParams{N: n, R: r, K: k, Spanning: cfg, Seed: vs[8]})
+		s, err := NewSkeletonSketch(SkeletonParams{N: n, R: r, K: k, Spanning: cfg, Seed: vs[8]})
+		if err != nil {
+			return nil, err
+		}
+		return s, s.AddState(state)
 	})
 }
 

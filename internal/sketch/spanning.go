@@ -436,12 +436,4 @@ func (s *SpanningSketch) Merge(o graphsketch.Sketch) error {
 	return s.AddScaled(so, 1)
 }
 
-// Marshal serializes the sketch contents (graphsketch.Sketch); identical to
-// State.
-func (s *SpanningSketch) Marshal() []byte { return s.State() }
-
-// Unmarshal merges serialized contents into the sketch; identical to
-// AddState.
-func (s *SpanningSketch) Unmarshal(data []byte) error { return s.AddState(data) }
-
 var _ graphsketch.Sharded = (*SpanningSketch)(nil)

@@ -1,10 +1,11 @@
 package sketch
 
 // State serializes the sketch's full contents — every vertex's share in
-// order — for checkpointing a long-running stream consumer. The seed,
-// domain, and config are NOT serialized: they are the structure's identity,
-// and restoring requires constructing an identically-parameterized sketch
-// first (exactly as the communication model's public randomness works).
+// order. It is the raw interior of a checkpoint frame: the seed, domain,
+// and config are the structure's identity and are not in it; WriteTo frames
+// the state with them, and codec.Open and ReadFrom check them before
+// AddState runs. Composite sketches in other packages build their own state
+// from it.
 func (s *SpanningSketch) State() []byte {
 	var b []byte
 	for v := 0; v < s.dom.N(); v++ {
@@ -13,10 +14,11 @@ func (s *SpanningSketch) State() []byte {
 	return b
 }
 
-// AddState merges a serialized state into the sketch (linearly). Restoring
-// a checkpoint means calling AddState on a freshly constructed sketch with
-// the same seed, domain and config; calling it on a non-empty sketch adds
-// the two streams' contents, which is itself meaningful by linearity.
+// AddState merges a serialized state into the sketch (linearly). The state
+// must come from a sketch with the same seed, domain and config — nothing
+// here checks that, which is why only frame readers and composites call it.
+// On a fresh sketch it is an exact restore; on a non-empty one it adds the
+// two streams' contents, which is itself meaningful by linearity.
 func (s *SpanningSketch) AddState(data []byte) error {
 	b := data
 	var err error
