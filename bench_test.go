@@ -512,7 +512,7 @@ func BenchmarkSparseDecode(b *testing.B) {
 	})
 	b.Run("hybrid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hy.SpanningGraph(); err != nil {
+			if _, err := hy.Decode(nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -87,7 +87,7 @@ func runE14(cfg Config, out *os.File) error {
 			}
 
 			var exact bench.Counter
-			f, err := hy.SpanningGraph()
+			f, err := hy.Decode(nil)
 			if err == nil {
 				exact.Observe(sameComponents(ld.final, f))
 			} else {

@@ -6,9 +6,9 @@ import (
 	"graphsketch/internal/obs"
 )
 
-// DecodeHybridTraced forwards to h.DecodeTraced, the one hybrid decode.
-// It remains only because the end-to-end benchmark module (perfbench/)
-// calls it by this name; new code calls h.DecodeTraced or oracle.Decode.
+// DecodeHybridTraced forwards to h.Decode, the one hybrid decode. It
+// remains only because the end-to-end benchmark module (perfbench/) calls
+// it by this name; new code calls h.Decode or oracle.Decode.
 func DecodeHybridTraced(h *hybrid.Sketch, parent *obs.Span) (*graph.Hypergraph, error) {
-	return h.DecodeTraced(parent)
+	return h.Decode(parent)
 }

@@ -22,68 +22,30 @@ import (
 // injecting the exact part into the sampler by linearity (Sampler.Update is
 // the same linear map the stream would have applied).
 
-// SpanningGraph decodes a spanning graph when the inner sketch is a
-// *sketch.SpanningSketch: a subgraph with the same connected components, at
-// most n−1 hyperedges. If no vertex is spilled the decode is fully exact —
-// deterministic, no sampler draws, and it cannot fail. Otherwise it runs
-// the Boruvka process with per-component cut samplers assembled from
-// buffers and spilled samplers, returning sketch.ErrDecodeFailed if the
-// rounds are exhausted before every component is resolved or certified.
-func (s *Sketch) SpanningGraph() (*graph.Hypergraph, error) {
-	return s.SpanningGraphTraced(nil)
-}
-
-// SpanningGraphTraced is SpanningGraph with the decode span hung under
-// parent (nil starts a fresh trace). The all-exact fast path emits a
-// trace-only span so recorded trees show which route a decode took.
-func (s *Sketch) SpanningGraphTraced(parent *obs.Span) (*graph.Hypergraph, error) {
-	sp, ok := s.inner.(*sketch.SpanningSketch)
-	if !ok {
-		return nil, fmt.Errorf("hybrid: SpanningGraph needs a *sketch.SpanningSketch inner, have %T", s.inner)
-	}
-	s.observeOccupancy()
-	if s.SpilledCount() == 0 {
-		hm.exactDecodes.Inc()
-		return s.exactSpanningTraced(parent)
-	}
-	hm.mixedDecodes.Inc()
-	return s.mixedSpanning(parent, sp)
-}
-
-// Connected decodes and reports whether the sketched hypergraph is
-// connected over all n vertices.
-func (s *Sketch) Connected() (bool, error) {
-	f, err := s.SpanningGraph()
-	if err != nil {
-		return false, err
-	}
-	return graphalg.Connected(f), nil
-}
-
-// Components decodes and returns the connected components.
-func (s *Sketch) Components() (*graphalg.DSU, error) {
-	f, err := s.SpanningGraph()
-	if err != nil {
-		return nil, err
-	}
-	return graphalg.ComponentsOf(f), nil
-}
-
-// Decode decodes whatever certificate the inner sketch type supports: the
-// mixed spanning decode for a spanning inner, and — for a skeleton inner —
-// the unchanged Theorem 14 peeling, run on a clone with every buffer
-// spilled first (the spill invariant makes the clone's inner byte-identical
-// to a pure skeleton of the stream).
-func (s *Sketch) Decode() (*graph.Hypergraph, error) {
-	return s.DecodeTraced(nil)
-}
-
-// DecodeTraced is Decode with the decode spans hung under parent (nil
-// starts a fresh trace).
-func (s *Sketch) DecodeTraced(parent *obs.Span) (*graph.Hypergraph, error) {
-	switch s.inner.(type) {
+// Decode decodes whatever certificate the inner sketch type supports, with
+// the decode spans hung under parent (nil starts a fresh trace).
+//
+// For a spanning inner it returns a spanning graph: a subgraph with the
+// same connected components, at most n−1 hyperedges. If no vertex is
+// spilled the decode is fully exact — deterministic, no sampler draws, and
+// it cannot fail. Otherwise it runs sketch.Peel with per-component cut
+// samplers assembled from buffers and spilled samplers, returning
+// sketch.ErrDecodeFailed if the rounds are exhausted before every component
+// is resolved or certified.
+//
+// For a skeleton inner it runs the unchanged Theorem 14 peeling on a clone
+// with every buffer spilled first (the spill invariant makes the clone's
+// inner byte-identical to a pure skeleton of the stream).
+func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
+	switch inner := s.inner.(type) {
 	case *sketch.SpanningSketch:
-		return s.SpanningGraphTraced(parent)
+		s.observeOccupancy()
+		if s.SpilledCount() == 0 {
+			hm.exactDecodes.Inc()
+			return s.exactSpanning(parent)
+		}
+		hm.mixedDecodes.Inc()
+		return s.mixedSpanning(parent, inner)
 	case *sketch.SkeletonSketch:
 		cp, err := s.Clone()
 		if err != nil {
@@ -100,18 +62,11 @@ func (s *Sketch) DecodeTraced(parent *obs.Span) (*graph.Hypergraph, error) {
 // exactSpanning builds a spanning forest directly from the buffers: every
 // present edge appears in each endpoint's buffer with its net weight, so
 // scanning entries at their min endpoint enumerates the edge multiset
-// exactly once, and a DSU keeps only component-merging edges.
-func (s *Sketch) exactSpanningTraced(parent *obs.Span) (*graph.Hypergraph, error) {
+// exactly once, and a DSU keeps only component-merging edges. It emits a
+// trace-only span so recorded trees show which route a decode took.
+func (s *Sketch) exactSpanning(parent *obs.Span) (*graph.Hypergraph, error) {
 	span := parent.Child("hybrid.exact_spanning", nil)
 	defer span.End()
-	f, err := s.exactSpanning()
-	if f != nil {
-		span.SetAttrs("n", s.dom.N(), "edges", len(f.Edges()))
-	}
-	return f, err
-}
-
-func (s *Sketch) exactSpanning() (*graph.Hypergraph, error) {
 	n := s.dom.N()
 	forest := graph.MustHypergraph(n, s.dom.R())
 	d := graphalg.NewDSU(n)
@@ -135,94 +90,26 @@ func (s *Sketch) exactSpanning() (*graph.Hypergraph, error) {
 			}
 		}
 	}
+	span.SetAttrs("n", n, "edges", forest.EdgeCount())
 	return forest, nil
 }
 
-// mixedSpanning is the Boruvka decode over mixed exact/spilled components;
-// it mirrors SpanningSketch.SpanningGraph with sampleCut supplying each
-// component's cut edge.
+// mixedSpanning is the Boruvka decode over mixed exact/spilled components:
+// sketch.Peel with sampleCut supplying each component's cut edge.
 func (s *Sketch) mixedSpanning(parent *obs.Span, sp *sketch.SpanningSketch) (*graph.Hypergraph, error) {
 	span := parent.Child("hybrid.spanning_graph", hm.decodeSpan)
 	defer span.End()
 	n := s.dom.N()
-	forest := graph.MustHypergraph(n, s.dom.R())
-	d := graphalg.NewDSU(n)
-	done := make(map[int]bool)
-	rounds := sp.Rounds()
-
-	for t := 0; t < rounds; t++ {
-		groups := d.Groups()
-		active := 0
-		for root := range groups {
-			if !done[root] {
-				active++
-			}
-		}
-		if active <= 1 {
-			span.SetAttrs("n", n, "rounds", t)
-			return forest, nil
-		}
-		s.peelRound(span, sp, t, d, groups, done, forest)
-	}
-
-	// Rounds exhausted: complete only if every remaining component's cut is
-	// certified empty.
-	for root, members := range d.Groups() {
-		if done[root] {
-			continue
-		}
-		if _, ok, empty := s.sampleCut(sp, rounds-1, members); ok || !empty {
-			obs.RecordEvent("sketch.decode_failure",
-				"structure", "hybrid", "n", n, "rounds", rounds,
-				"spilled", s.SpilledCount())
-			return nil, sketch.ErrDecodeFailed
-		}
+	forest, rounds, err := sketch.Peel(span, s.dom, sp.Rounds(),
+		func(t int, members []int) (uint64, bool, bool) { return s.sampleCut(sp, t, members) })
+	if err != nil {
+		obs.RecordEvent("sketch.decode_failure",
+			"structure", "hybrid", "n", n, "rounds", rounds,
+			"spilled", s.SpilledCount())
+		return nil, err
 	}
 	span.SetAttrs("n", n, "rounds", rounds)
 	return forest, nil
-}
-
-// peelRound runs one mixed Boruvka round under a trace-only child span,
-// mirroring SpanningSketch.peelRound with sampleCut supplying each
-// component's cut edge.
-func (s *Sketch) peelRound(parent *obs.Span, sp *sketch.SpanningSketch, t int, d *graphalg.DSU, groups map[int][]int, done map[int]bool, forest *graph.Hypergraph) {
-	rsp := parent.Child("hybrid.peel_round", nil)
-	defer rsp.End()
-	draws, recovered := 0, 0
-	var merges []graph.Hyperedge
-	for root, members := range groups {
-		if done[root] {
-			continue
-		}
-		draws++
-		key, ok, empty := s.sampleCut(sp, t, members)
-		if !ok {
-			if empty {
-				done[root] = true
-			}
-			continue
-		}
-		e, err := s.dom.Decode(key)
-		if err != nil {
-			// Fingerprint false positive from a sampler draw; treat as
-			// a failed sample for this round.
-			continue
-		}
-		merges = append(merges, e)
-	}
-	for _, e := range merges {
-		merged := false
-		for i := 1; i < len(e); i++ {
-			if d.Union(e[0], e[i]) {
-				merged = true
-			}
-		}
-		if merged {
-			forest.MustAddEdge(e, 1)
-			recovered++
-		}
-	}
-	rsp.SetAttrs("round", t, "draws", draws, "edges", recovered)
 }
 
 // sampleCut draws one edge from the cut of the component given by members,

@@ -141,7 +141,7 @@ func TestHybridMatchesPure(t *testing.T) {
 			pure, hy := pair(t, tc.n, tc.r, tc.budget, 42+tc.seed)
 			apply(t, st, pure, hy)
 
-			got, err := hy.SpanningGraph()
+			got, err := hy.Decode(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,8 +166,19 @@ func TestHybridMatchesPure(t *testing.T) {
 			if err := cp.SpillAll(); err != nil {
 				t.Fatal(err)
 			}
-			if !tc.churn && !bytes.Equal(cp.Inner().State(), pure.State()) {
-				t.Fatal("SpillAll inner state differs from the pure sketch fed the same stream")
+			if !tc.churn {
+				if !bytes.Equal(cp.Inner().State(), pure.State()) {
+					t.Fatal("SpillAll inner state differs from the pure sketch fed the same stream")
+				}
+				// Equal state and one shared peel: the spilled clone's
+				// mixed decode is the pure decode, edge for edge.
+				cf, err := cp.Decode(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !cf.Equal(pf) {
+					t.Fatal("spilled-clone Decode differs from the pure SpanningGraph")
+				}
 			}
 			if f, err := cp.Inner().(*sketch.SpanningSketch).SpanningGraph(); err != nil {
 				t.Fatal(err)
@@ -175,7 +186,7 @@ func TestHybridMatchesPure(t *testing.T) {
 				sameComponents(t, final, f, "spilled-clone decode")
 			}
 			// SpillAll on the clone must not have disturbed the original.
-			again, err := hy.SpanningGraph()
+			again, err := hy.Decode(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +226,7 @@ func TestHybridBudgetBoundary(t *testing.T) {
 			t.Fatalf("vertex %d spilled at degree 1", i)
 		}
 	}
-	f, err := hy.SpanningGraph()
+	f, err := hy.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +266,7 @@ func TestHybridSpillThenDeleteBelowBudget(t *testing.T) {
 	if !hy.Spilled(0) {
 		t.Fatal("spilling must be monotone: deletions un-spilled vertex 0")
 	}
-	f, err := hy.SpanningGraph()
+	f, err := hy.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,12 +322,12 @@ func TestHybridMerge(t *testing.T) {
 	if !bytes.Equal(frameOf(t, b), bFrame) {
 		t.Fatal("Merge mutated its argument")
 	}
-	f, err := a.SpanningGraph()
+	f, err := a.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameComponents(t, final, f, "merged decode")
-	fw, err := whole.SpanningGraph()
+	fw, err := whole.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +352,7 @@ func TestHybridMergeBytes(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	f, err := a.SpanningGraph()
+	f, err := a.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,11 +413,37 @@ func TestHybridEngineParallelSerial(t *testing.T) {
 		if !bytes.Equal(frameOf(t, par), frameOf(t, serial)) {
 			t.Fatalf("workers=%d: parallel state differs from serial", workers)
 		}
-		f, err := par.Decode()
+		f, err := par.Decode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameComponents(t, final, f, "decode after engine ingest")
+	}
+}
+
+// TestHybridDecodeFailure covers the mixed decode's exhaustion branch: one
+// Boruvka round cannot span a 64-vertex path, so a fully spilled hybrid
+// over a one-round inner must report sketch.ErrDecodeFailed.
+func TestHybridDecodeFailure(t *testing.T) {
+	const n = 64
+	inner, err := sketch.NewSpanningSketch(sketch.SpanningParams{N: n, Rounds: 1, Seed: 47})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hy, err := hybrid.New(inner, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v < n; v++ {
+		if err := hy.Update(graph.MustEdge(v-1, v), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := hy.SpillAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hy.Decode(nil); !errors.Is(err, sketch.ErrDecodeFailed) {
+		t.Fatalf("one-round mixed decode of a 64-path: got %v, want sketch.ErrDecodeFailed", err)
 	}
 }
 
@@ -432,7 +469,7 @@ func TestHybridSkeletonDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := hy.Decode()
+	got, err := hy.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +538,7 @@ func TestHybridCheckpointRoundTrip(t *testing.T) {
 	if !bytes.Equal(frameOf(t, re), frameOf(t, hy)) {
 		t.Fatal("reopened state differs byte-for-byte")
 	}
-	f, err := re.SpanningGraph()
+	f, err := re.Decode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"graphsketch/internal/engine"
 	"graphsketch/internal/graph"
+	"graphsketch/internal/hybrid"
 	"graphsketch/internal/obs"
 	"graphsketch/internal/oracle"
 	"graphsketch/internal/sketch"
@@ -26,8 +27,11 @@ func pathBatch(n int) []graph.WeightedEdge {
 
 // TestTraceTreeDepth is the tentpole acceptance check: a skeleton decode
 // of engine-ingested state records a trace tree at least three levels deep
-// (skeleton → skeleton_layer → spanning_graph → peel_round), and the tree
-// is retrievable from /debug/traces exactly as a scraper would see it.
+// (skeleton → skeleton_layer → spanning_graph → peel_round), a hybrid
+// mixed decode records its rounds under its own span (hybrid.spanning_graph
+// → sketch.peel_round, the one shared peel) without feeding the pure
+// sketch's sketch_peel_rounds histogram, and both trees are retrievable
+// from /debug/traces exactly as a scraper would see them.
 func TestTraceTreeDepth(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -47,6 +51,31 @@ func TestTraceTreeDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A 2-word budget holds one entry, so the path's interior spills and
+	// the hybrid takes the mixed route.
+	inner, err := sketch.NewSpanningSketch(sketch.SpanningParams{N: n, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hy, err := hybrid.New(inner, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hy.UpdateBatch(pathBatch(n)); err != nil {
+		t.Fatal(err)
+	}
+	if hy.SpilledCount() == 0 {
+		t.Fatal("path spilled nothing; the mixed decode went untested")
+	}
+	peelRounds := obs.Default().Histogram("sketch_peel_rounds", "", nil)
+	before := peelRounds.Count()
+	if _, err := hy.Decode(nil); err != nil {
+		t.Fatal(err)
+	}
+	if c := peelRounds.Count(); c != before {
+		t.Errorf("hybrid decode fed sketch_peel_rounds (%d → %d observations)", before, c)
+	}
+
 	srv := httptest.NewServer(obs.Handler(obs.Default()))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/traces")
@@ -64,28 +93,47 @@ func TestTraceTreeDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Find the decode's trace (other tests in the package may have left
-	// trees in the ring) and assert its shape: sketch.skeleton →
-	// sketch.skeleton_layer → sketch.spanning_graph → sketch.peel_round.
-	for _, tr := range payload.Traces {
-		names := make(map[string]bool, len(tr.Spans))
-		for _, s := range tr.Spans {
-			names[s.Name] = true
-		}
-		if !names["sketch.skeleton"] {
-			continue
-		}
-		if tr.Depth < 3 {
-			t.Fatalf("skeleton decode trace depth = %d, want >= 3 (spans: %v)", tr.Depth, names)
-		}
-		for _, want := range []string{"sketch.skeleton_layer", "sketch.spanning_graph", "sketch.peel_round"} {
-			if !names[want] {
-				t.Errorf("skeleton decode trace is missing a %s span", want)
+	// Find each decode's trace (other tests in the package may have left
+	// trees in the ring) by its root span and assert its shape.
+	// peelParent is the span every sketch.peel_round must hang under.
+	for _, tc := range []struct {
+		root       string
+		minDepth   int
+		want       []string
+		peelParent string
+	}{
+		{"sketch.skeleton", 3, []string{"sketch.skeleton_layer", "sketch.spanning_graph"}, "sketch.spanning_graph"},
+		{"hybrid.spanning_graph", 1, nil, "hybrid.spanning_graph"},
+	} {
+		t.Run(tc.root, func(t *testing.T) {
+			for _, tr := range payload.Traces {
+				names := make(map[string]bool, len(tr.Spans))
+				byID := make(map[uint64]string, len(tr.Spans))
+				for _, s := range tr.Spans {
+					names[s.Name] = true
+					byID[s.Span] = s.Name
+				}
+				if !names[tc.root] {
+					continue
+				}
+				if tr.Depth < tc.minDepth {
+					t.Fatalf("%s trace depth = %d, want >= %d (spans: %v)", tc.root, tr.Depth, tc.minDepth, names)
+				}
+				for _, want := range append(tc.want, "sketch.peel_round") {
+					if !names[want] {
+						t.Errorf("%s trace is missing a %s span", tc.root, want)
+					}
+				}
+				for _, s := range tr.Spans {
+					if s.Name == "sketch.peel_round" && byID[s.Parent] != tc.peelParent {
+						t.Errorf("sketch.peel_round hangs under %q, want %s", byID[s.Parent], tc.peelParent)
+					}
+				}
+				return
 			}
-		}
-		return
+			t.Fatalf("no %s trace found at /debug/traces", tc.root)
+		})
 	}
-	t.Fatal("no skeleton decode trace found at /debug/traces")
 }
 
 // TestEndpointScrapeRace scrapes every observability endpoint concurrently

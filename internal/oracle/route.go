@@ -44,7 +44,7 @@ func routeFor(s graphsketch.Sketch) (route, error) {
 	case *sketch.SkeletonSketch:
 		return route{n: s.NumVertices(), decode: s.SkeletonTraced}, nil
 	case *hybrid.Sketch:
-		return route{n: s.NumVertices(), decode: s.DecodeTraced}, nil
+		return route{n: s.NumVertices(), decode: s.Decode}, nil
 	case *vertexconn.Sketch:
 		return route{
 			n: s.NumVertices(),

@@ -6,6 +6,7 @@ import (
 
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
+	"graphsketch/internal/workload"
 )
 
 // streamInto applies h's edges to the sketch as unit insertions.
@@ -102,6 +103,33 @@ func TestSpanningGraphHypergraphs(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		sameConnectivity(t, h, f, "hypergraph")
+	}
+}
+
+// TestSpanningDecodeDeterministic pins that decoding one hypergraph state
+// repeatedly returns the same forest. With r ≥ 3 the forest depends on the
+// order components merge their sampled edges, so Peel must visit them in a
+// fixed order.
+func TestSpanningDecodeDeterministic(t *testing.T) {
+	const n = 64
+	h := workload.UniformHypergraph(rand.New(rand.NewPCG(3, 1)), n, 3, 2*n)
+	s, err := NewSpanningSketch(SpanningParams{N: n, R: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamInto(t, s, h)
+	first, err := s.SpanningGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		f, err := s.SpanningGraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !f.Equal(first) {
+			t.Fatalf("decode %d returned a different forest from the same state", i+1)
+		}
 	}
 }
 

@@ -223,7 +223,7 @@ func (s *SpanningSketch) Clone() *SpanningSketch {
 
 // SpanningGraph decodes a spanning graph of the sketched hypergraph: a
 // subgraph with the same connected components, at most n−1 hyperedges. The
-// decoding is the Boruvka process of Ahn et al.: in each round, every
+// decoding is Peel, the Boruvka process of Ahn et al.: in each round, every
 // current component samples one hyperedge leaving it (by summing its
 // members' samplers for that round) and components merge along the sampled
 // edges.
@@ -243,98 +243,21 @@ func (s *SpanningSketch) SpanningGraphTraced(parent *obs.Span) (*graph.Hypergrap
 	sp := parent.Child("sketch.spanning_graph", skm.spanSpan)
 	defer sp.End()
 	n := s.dom.N()
-	forest := graph.MustHypergraph(n, s.dom.R())
-	d := graphalg.NewDSU(n)
-	// done[root] marks components whose cut was certified empty (no edges
-	// leave them): they can be skipped in later rounds.
-	done := make(map[int]bool)
-
-	for t := 0; t < s.cfg.Rounds; t++ {
-		groups := d.Groups()
-		active := 0
-		for root := range groups {
-			if !done[root] {
-				active++
-			}
-		}
-		if active <= 1 {
-			skm.peelRounds.Observe(float64(t))
-			sp.SetAttrs("n", n, "rounds", t)
-			return forest, nil
-		}
-		s.peelRound(sp, t, d, groups, done, forest)
+	forest, rounds, err := Peel(sp, s.dom, s.cfg.Rounds, s.cut)
+	if err != nil {
+		skm.failures.Inc()
+		obs.RecordEvent("sketch.decode_failure",
+			"structure", "spanning", "n", n, "rounds", s.cfg.Rounds)
+		return nil, err
 	}
-
-	// Rounds exhausted. If every remaining component is certified done,
-	// the forest is complete; otherwise we may have missed connectivity.
-	for _, members := range d.Groups() {
-		root := d.Find(members[0])
-		if done[root] {
-			continue
-		}
-		sum := s.sumComponent(s.cfg.Rounds-1, members)
-		if !sum.IsZero() {
-			skm.failures.Inc()
-			obs.RecordEvent("sketch.decode_failure",
-				"structure", "spanning", "n", n, "rounds", s.cfg.Rounds)
-			return nil, ErrDecodeFailed
-		}
-	}
-	skm.peelRounds.Observe(float64(s.cfg.Rounds))
-	sp.SetAttrs("n", n, "rounds", s.cfg.Rounds)
+	skm.peelRounds.Observe(float64(rounds))
+	sp.SetAttrs("n", n, "rounds", rounds)
 	return forest, nil
 }
 
-// peelRound runs one Boruvka round: every live component samples a
-// hyperedge leaving it (summing its members' round-t samplers) and
-// components merge along the sampled edges. Certified-empty cuts are
-// marked in done. The round gets its own trace-only child span carrying
-// the samplers-drawn / edges-recovered attributes.
-func (s *SpanningSketch) peelRound(parent *obs.Span, t int, d *graphalg.DSU, groups map[int][]int, done map[int]bool, forest *graph.Hypergraph) {
-	rsp := parent.Child("sketch.peel_round", nil)
-	defer rsp.End()
-	draws, recovered := 0, 0
-	var merges []graph.Hyperedge
-	for root, members := range groups {
-		if done[root] {
-			continue
-		}
-		sum := s.sumComponent(t, members)
-		draws++
-		key, _, ok := sum.Sample()
-		if !ok {
-			if sum.IsZero() {
-				// Certified: nothing leaves this component.
-				done[root] = true
-			}
-			continue
-		}
-		e, err := s.dom.Decode(key)
-		if err != nil {
-			// A fingerprint false positive (~2^-40); treat as a
-			// failed sample for this round.
-			continue
-		}
-		merges = append(merges, e)
-	}
-	for _, e := range merges {
-		merged := false
-		for i := 1; i < len(e); i++ {
-			if d.Union(e[0], e[i]) {
-				merged = true
-			}
-		}
-		if merged {
-			forest.MustAddEdge(e, 1)
-			recovered++
-		}
-	}
-	rsp.SetAttrs("round", t, "draws", draws, "edges", recovered)
-}
-
-// sumComponent returns the round-t sampler of the cut vector of the given
-// component (the sum of its members' samplers).
-func (s *SpanningSketch) sumComponent(t int, members []int) *l0.Sampler {
+// cut is the pure sketch's Peel cut query: it sums the members' round-t
+// samplers into a sampler of the component's cut vector and draws from it.
+func (s *SpanningSketch) cut(t int, members []int) (key uint64, ok, empty bool) {
 	sum := s.samplers[t][members[0]].Clone()
 	for _, v := range members[1:] {
 		// Same round => same seed: AddScaled cannot fail.
@@ -342,7 +265,10 @@ func (s *SpanningSketch) sumComponent(t int, members []int) *l0.Sampler {
 			panic(err)
 		}
 	}
-	return sum
+	if key, _, ok = sum.Sample(); ok {
+		return key, true, false
+	}
+	return 0, false, sum.IsZero()
 }
 
 // Connected decodes the sketch and reports whether the hypergraph is
