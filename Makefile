@@ -84,11 +84,13 @@ obs-check:
 # Cluster gate: the shard-plane suite under the race detector — wire
 # round trips, the three-way serial/local/TCP equivalence, server protocol
 # rejection, the kill-and-restore drills (in-process and real gsd shard
-# processes), and the genstream loadgen end-to-end. Everything runs on
-# loopback with ephemeral ports; no external services.
+# processes), and the genstream loadgen end-to-end — plus a 10 s fuzz of
+# the wire payload parsers. Everything runs on loopback with ephemeral
+# ports; no external services.
 cluster-check:
 	$(GO) test -race ./internal/shardplane/
 	$(GO) test -race -run 'TestGSD|TestGenstreamLoadgen' ./internal/cli/
+	$(GO) test -run '^$$' -fuzz FuzzWire -fuzztime 10s ./internal/shardplane/
 
 # The end-to-end benchmark (perfbench/) is a module of its own, so the root
 # `go test ./...` never compiles it; this gate vets and tests it against the

@@ -18,9 +18,10 @@ import (
 // every (edge, net weight) pair, so its incidence coefficients
 // (|e|−1 at the min endpoint, −1 elsewhere) can be summed exactly. A
 // component therefore accumulates the exact part of its cut vector in a
-// map, and only if some member is spilled does it clone and sum samplers,
-// injecting the exact part into the sampler by linearity (Sampler.Update is
-// the same linear map the stream would have applied).
+// map, and only if some member is spilled does it draw from a sampler sum:
+// the spilled members' samplers plus a scratch sampler holding the exact
+// part, injected by linearity (Sampler.Update is the same linear map the
+// stream would have applied).
 
 // Decode decodes whatever certificate the inner sketch type supports, with
 // the decode spans hung under parent (nil starts a fresh trace).
@@ -95,13 +96,13 @@ func (s *Sketch) exactSpanning(parent *obs.Span) (*graph.Hypergraph, error) {
 }
 
 // mixedSpanning is the Boruvka decode over mixed exact/spilled components:
-// sketch.Peel with sampleCut supplying each component's cut edge.
+// sketch.Peel with a mixedCut supplying each component's cut edge.
 func (s *Sketch) mixedSpanning(parent *obs.Span, sp *sketch.SpanningSketch) (*graph.Hypergraph, error) {
 	span := parent.Child("hybrid.spanning_graph", hm.decodeSpan)
 	defer span.End()
 	n := s.dom.N()
-	forest, rounds, err := sketch.Peel(span, s.dom, sp.Rounds(),
-		func(t int, members []int) (uint64, bool, bool) { return s.sampleCut(sp, t, members) })
+	c := &mixedCut{s: s, sp: sp, acc: make(map[uint64]int64)}
+	forest, rounds, err := sketch.Peel(span, s.dom, sp.Rounds(), c.sampleCut)
 	if err != nil {
 		obs.RecordEvent("sketch.decode_failure",
 			"structure", "hybrid", "n", n, "rounds", rounds,
@@ -112,22 +113,38 @@ func (s *Sketch) mixedSpanning(parent *obs.Span, sp *sketch.SpanningSketch) (*gr
 	return forest, nil
 }
 
+// mixedCut is one mixed decode's cut query and its scratch, reused across
+// every component and round of the decode.
+type mixedCut struct {
+	s  *Sketch
+	sp *sketch.SpanningSketch
+	// acc accumulates a component's exact cut part: edge key → net
+	// coefficient-weighted sum over its unspilled members.
+	acc map[uint64]int64
+	// exact holds acc as a sampler; sum is SampleSum's scratch; parts
+	// lists the samplers summed for one component.
+	exact, sum l0.Sampler
+	parts      []*l0.Sampler
+}
+
 // sampleCut draws one edge from the cut of the component given by members,
 // using round t's samplers for spilled members and the exact buffers for
 // the rest. It returns the edge key and ok=true on success; otherwise
 // empty=true iff the cut is certified empty (exactly, for an all-exact
 // component; by the zero-sampler certificate when spilled members are
 // involved).
-func (s *Sketch) sampleCut(sp *sketch.SpanningSketch, t int, members []int) (key uint64, ok, empty bool) {
+func (c *mixedCut) sampleCut(t int, members []int) (key uint64, ok, empty bool) {
+	s := c.s
 	// Exact part of the cut vector: Σ over unspilled members v of
 	// coeff_e(v)·w for every buffered edge. Edges fully inside the exact
 	// part of the component cancel here (their coefficients sum to zero);
 	// edges shared with spilled members cancel later, inside the sampler.
-	var acc map[uint64]int64
-	anySpilled := false
+	acc := c.acc
+	clear(acc)
+	c.parts = c.parts[:0]
 	for _, v := range members {
 		if s.spilled[v] {
-			anySpilled = true
+			c.parts = append(c.parts, c.sp.SamplerAt(t, v))
 			continue
 		}
 		for i, k := range s.keys[v] {
@@ -139,13 +156,10 @@ func (s *Sketch) sampleCut(sp *sketch.SpanningSketch, t int, members []int) (key
 			if e[0] == v {
 				coeff = int64(len(e)) - 1
 			}
-			if acc == nil {
-				acc = make(map[uint64]int64)
-			}
 			acc[k] += coeff * s.ws[v][i]
 		}
 	}
-	if !anySpilled {
+	if len(c.parts) == 0 {
 		hm.exactComponents.Inc()
 		// The accumulator is the whole cut vector: pick its smallest
 		// nonzero key, deterministically — no sampler draw.
@@ -161,33 +175,25 @@ func (s *Sketch) sampleCut(sp *sketch.SpanningSketch, t int, members []int) (key
 		return best, true, false
 	}
 	hm.mixedComponents.Inc()
-	var sum *l0.Sampler
-	for _, v := range members {
-		if !s.spilled[v] {
-			continue
-		}
-		if sum == nil {
-			sum = sp.SamplerAt(t, v).Clone()
-			continue
-		}
-		// Same round => same seed: AddScaled cannot fail.
-		if err := sum.AddScaled(sp.SamplerAt(t, v), 1); err != nil {
-			panic(err)
-		}
-	}
 	// Inject the exact part: Sampler.Update is the same linear map the
-	// stream applies, so afterwards sum sketches the component's full cut
-	// vector, exact cancellations included.
+	// stream applies, so the spilled samplers plus exact sketch the
+	// component's full cut vector, exact cancellations included.
+	injected := false
 	for k, net := range acc {
-		if net != 0 {
-			sum.Update(k, net)
+		if net == 0 {
+			continue
 		}
+		if !injected {
+			c.exact.Reset(c.parts[0])
+			injected = true
+		}
+		c.exact.Update(k, net)
 	}
-	key, _, ok = sum.Sample()
-	if !ok {
-		return 0, false, sum.IsZero()
+	if injected {
+		c.parts = append(c.parts, &c.exact)
 	}
-	return key, true, false
+	key, _, ok, empty = c.sum.SampleSum(c.parts)
+	return key, ok, empty
 }
 
 // observeOccupancy records the buffer-occupancy distribution and spill

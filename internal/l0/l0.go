@@ -138,7 +138,7 @@ func (s *Sampler) UpdateHashed(i uint64, delta int64, top int, zPow field.Elem) 
 
 // AddScaled adds scale copies of o into s.
 func (s *Sampler) AddScaled(o *Sampler, scale int64) error {
-	if s.sh != o.sh && (s.sh.seed != o.sh.seed || s.sh.dom != o.sh.dom || s.sh.cfg != o.sh.cfg) {
+	if !s.compatible(o) {
 		return recovery.ErrIncompatible
 	}
 	for lv := range o.levels {
@@ -164,6 +164,21 @@ func (s *Sampler) Clone() *Sampler {
 	return &cp
 }
 
+// Reset makes s the zero vector over like's randomness (seed, domain and
+// config), keeping s's allocated level storage for reuse. The zero Sampler
+// may be Reset.
+func (s *Sampler) Reset(like *Sampler) {
+	s.sh = like.sh
+	if len(s.levels) != len(like.levels) {
+		s.levels = make([]*recovery.SSparse, len(like.levels))
+	}
+	for lv, t := range s.levels {
+		if t != nil {
+			t.Reset(s.sh.shapes[lv])
+		}
+	}
+}
+
 // IsZero reports whether the sketch is consistent with the zero vector.
 func (s *Sampler) IsZero() bool {
 	return s.levels[0] == nil || s.levels[0].IsZero()
@@ -178,38 +193,129 @@ func (s *Sampler) IsZero() bool {
 // fingerprint collision probability (~2^-40) it is a true element of the
 // support with its true value.
 func (s *Sampler) Sample() (idx uint64, val int64, ok bool) {
+	idx, val, ok, _ = s.sh.draw(len(s.levels), func(lv int) *recovery.SSparse { return s.levels[lv] })
+	return idx, val, ok
+}
+
+// SampleSum draws from the sum of parts: it returns exactly what
+//
+//	sum := parts[0].Clone()
+//	for _, p := range parts[1:] {
+//		sum.AddScaled(p, 1)
+//	}
+//	idx, val, ok = sum.Sample()
+//	empty = !ok && sum.IsZero()
+//
+// returns, counters included, without building the sum. The parts are
+// summed one level at a time, as the top-down scan reaches the level, into
+// s's level storage; a level that only one part holds is decoded in place,
+// so a single part is sampled directly. The scan stops at the first level
+// that decodes non-empty, so the denser levels below it are never summed.
+// When a level fails to decode, only level 0 is needed to certify
+// emptiness.
+//
+// The receiver is caller-owned scratch: its contents are overwritten and
+// its level storage is reused across calls, so a warmed SampleSum
+// allocates nothing. The zero Sampler is valid scratch. The parts are not
+// modified; they must share a seed, domain and config, and SampleSum
+// panics otherwise, as AddScaled would have failed.
+func (s *Sampler) SampleSum(parts []*Sampler) (idx uint64, val int64, ok, empty bool) {
+	p0 := parts[0]
+	for _, p := range parts[1:] {
+		if !p0.compatible(p) {
+			panic(recovery.ErrIncompatible)
+		}
+	}
+	if len(s.levels) != len(p0.levels) {
+		s.levels = make([]*recovery.SSparse, len(p0.levels))
+	}
+	var last *recovery.SSparse // the last level the scan summed
+	idx, val, ok, fail := p0.sh.draw(len(p0.levels), func(lv int) *recovery.SSparse {
+		last = s.sumLevel(parts, lv)
+		return last
+	})
+	switch {
+	case ok:
+		return idx, val, true, false
+	case fail < 0: // every level decoded empty
+		return 0, 0, false, true
+	case fail > 0:
+		last = s.sumLevel(parts, 0)
+	}
+	return 0, 0, false, last == nil || last.IsZero()
+}
+
+// sumLevel returns level lv of the sum of parts: nil when no part has the
+// level allocated (the sum's level is zero), the part's own level when
+// exactly one has it, and otherwise the sum built in s's storage.
+func (s *Sampler) sumLevel(parts []*Sampler, lv int) *recovery.SSparse {
+	var first, sum *recovery.SSparse
+	for _, p := range parts {
+		o := p.levels[lv]
+		switch {
+		case o == nil:
+		case first == nil:
+			first = o
+		default:
+			if sum == nil {
+				if s.levels[lv] == nil {
+					s.levels[lv] = new(recovery.SSparse)
+				}
+				sum = s.levels[lv]
+				sum.CopyFrom(first)
+			}
+			if err := sum.AddScaled(o, 1); err != nil {
+				panic(err) // compatibility was checked in SampleSum
+			}
+		}
+	}
+	if sum != nil {
+		return sum
+	}
+	return first
+}
+
+// compatible reports whether o can be added into s.
+func (s *Sampler) compatible(o *Sampler) bool {
+	return s.sh == o.sh || (s.sh.seed == o.sh.seed && s.sh.dom == o.sh.dom && s.sh.cfg == o.sh.cfg)
+}
+
+// draw is the scan behind Sample and SampleSum over a vector whose level lv
+// is level(lv), nil when that level is zero. From the sparsest level down,
+// the first decodable level with nonempty support yields its min-hash
+// element. fail is the level that failed to decode, or -1.
+func (sh *sharedRand) draw(levels int, level func(lv int) *recovery.SSparse) (idx uint64, val int64, ok bool, fail int) {
 	lm.draws.Inc()
-	// Scan from the sparsest level down; the first decodable level with
-	// nonempty support yields the sample.
-	for lv := len(s.levels) - 1; lv >= 0; lv-- {
-		if s.levels[lv] == nil {
+	var buf [16]recovery.Coord
+	for lv := levels - 1; lv >= 0; lv-- {
+		t := level(lv)
+		if t == nil {
 			continue // unallocated level is empty
 		}
-		vec, decoded := s.levels[lv].Decode()
+		vec, decoded := t.DecodeTo(buf[:0])
 		if !decoded {
 			// This level is too dense; all sparser levels were empty,
 			// so the support-size transition skipped the window.
 			lm.failures.Inc()
-			obs.RecordEvent("l0.sample_failure", "level", lv, "max_levels", len(s.levels))
-			return 0, 0, false
+			obs.RecordEvent("l0.sample_failure", "level", lv, "max_levels", levels)
+			return 0, 0, false, lv
 		}
 		if len(vec) == 0 {
 			continue
 		}
-		best := uint64(0)
+		var best recovery.Coord
 		bestHash := ^uint64(0)
-		for i := range vec {
-			h := hashutil.Mix64(s.sh.tie + hashutil.Mix64(i))
+		for _, c := range vec {
+			h := hashutil.Mix64(sh.tie + hashutil.Mix64(c.I))
 			if h < bestHash {
-				bestHash = h
-				best = i
+				bestHash, best = h, c
 			}
 		}
 		lm.successes.Inc()
-		return best, vec[best], true
+		return best.I, best.V, true, -1
 	}
 	lm.empties.Inc()
-	return 0, 0, false // genuinely empty support
+	return 0, 0, false, -1 // genuinely empty support
 }
 
 // Decode attempts full recovery of the vector, which succeeds when the

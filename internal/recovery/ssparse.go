@@ -291,6 +291,39 @@ func (t *SSparse) Clone() *SSparse {
 	return &cp
 }
 
+// CopyFrom overwrites t with o — shape and cells — reusing t's cell storage
+// when it already has o's geometry. The zero SSparse value may be a
+// destination, so callers can keep reusable scratch structures.
+func (t *SSparse) CopyFrom(o *SSparse) {
+	t.reshape(o.shape)
+	copy(t.count, o.count)
+	copy(t.mom, o.mom)
+	copy(t.fp, o.fp)
+	t.total = o.total
+}
+
+// Reset makes t the zero structure over shape sh, reusing t's cell storage
+// when it already has sh's geometry. The zero SSparse value may be Reset.
+func (t *SSparse) Reset(sh *Shape) {
+	t.reshape(sh)
+	clear(t.count)
+	clear(t.mom)
+	clear(t.fp)
+	t.total = OneSparse{z: sh.z, dom: sh.dom}
+}
+
+// reshape points t at sh and sizes its cell planes for sh's geometry,
+// allocating only when the current storage does not match. Cell contents
+// are left for the caller to overwrite.
+func (t *SSparse) reshape(sh *Shape) {
+	t.shape = sh
+	n := sh.rows * sh.buckets
+	if len(t.count) != n {
+		mf := make([]field.Elem, 2*n)
+		t.count, t.mom, t.fp = make([]int64, n), mf[:n:n], mf[n:]
+	}
+}
+
 // IsZero reports whether the structure is consistent with the zero vector.
 func (t *SSparse) IsZero() bool {
 	return t.total.IsZero()
@@ -366,11 +399,36 @@ func (w *decodeScratch) allZero() bool {
 // Decode never mutates t: it peels a pooled scratch copy, so the query path
 // performs no steady-state allocation beyond the result map.
 func (t *SSparse) Decode() (map[uint64]int64, bool) {
+	var buf [16]Coord
+	vec, ok := t.DecodeTo(buf[:0])
+	if !ok {
+		return nil, false
+	}
+	out := make(map[uint64]int64, len(vec))
+	for _, c := range vec {
+		out[c.I] = c.V
+	}
+	return out, true
+}
+
+// Coord is one recovered nonzero coordinate: f[I] = V.
+type Coord struct {
+	I uint64
+	V int64
+}
+
+// DecodeTo is Decode without the result map: on success it appends the
+// recovered nonzero coordinates to dst, each index once and in peel order,
+// and returns the extended slice and true; on failure it returns dst
+// unchanged and false. Given a dst with enough capacity it allocates
+// nothing after warm-up, which is what lets the L0 sampler draw without
+// garbage.
+func (t *SSparse) DecodeTo(dst []Coord) ([]Coord, bool) {
 	sh := t.shape
 	work := scratchPool.Get().(*decodeScratch)
 	defer scratchPool.Put(work)
 	work.load(t)
-	out := make(map[uint64]int64)
+	base := len(dst)
 	// Peeling: each successful peel zeroes one coordinate, and a vector
 	// that decodes has at most rows*buckets live coordinates in the worst
 	// imaginable case; cap iterations defensively.
@@ -391,7 +449,7 @@ func (t *SSparse) Decode() (map[uint64]int64, bool) {
 				if sh.bucketRed(r, field.Reduce(i)) != b {
 					continue
 				}
-				out[i] += v
+				dst = addCoord(dst, base, i, v)
 				work.subtract(sh, i, v)
 				peeled = true
 				break scan
@@ -403,15 +461,29 @@ func (t *SSparse) Decode() (map[uint64]int64, bool) {
 	}
 	if !work.allZero() {
 		rm.failures.Inc()
-		return nil, false
+		return dst[:base], false
 	}
-	for i, v := range out {
-		if v == 0 {
-			delete(out, i)
+	out := dst[:base]
+	for _, c := range dst[base:] {
+		if c.V != 0 { // an index peeled twice can net to zero
+			out = append(out, c)
 		}
 	}
 	rm.successes.Inc()
 	return out, true
+}
+
+// addCoord adds v to index i's entry in dst[base:], appending the entry if
+// i is new. Decoded vectors hold O(S) coordinates, so a linear scan beats a
+// map.
+func addCoord(dst []Coord, base int, i uint64, v int64) []Coord {
+	for j := base; j < len(dst); j++ {
+		if dst[j].I == i {
+			dst[j].V += v
+			return dst
+		}
+	}
+	return append(dst, Coord{I: i, V: v})
 }
 
 // decodeCell attempts 1-sparse recovery on a raw (count, mom, fp) cell; the

@@ -26,12 +26,15 @@ import (
 func Peel(parent *obs.Span, dom graph.Domain, rounds int, cut func(t int, members []int) (key uint64, ok, empty bool)) (forest *graph.Hypergraph, roundsUsed int, err error) {
 	n := dom.N()
 	p := &peeler{
-		dom:     dom,
-		cut:     cut,
-		forest:  graph.MustHypergraph(n, dom.R()),
-		dsu:     graphalg.NewDSU(n),
-		done:    make([]bool, n),
-		members: make([][]int, n),
+		dom:    dom,
+		cut:    cut,
+		forest: graph.MustHypergraph(n, dom.R()),
+		dsu:    graphalg.NewDSU(n),
+		done:   make([]bool, n),
+		rootOf: make([]int, n),
+		start:  make([]int, n),
+		end:    make([]int, n),
+		flat:   make([]int, n),
 	}
 	for t := 0; t < rounds; t++ {
 		if len(p.live()) <= 1 {
@@ -42,7 +45,7 @@ func Peel(parent *obs.Span, dom graph.Domain, rounds int, cut func(t int, member
 	// Rounds exhausted: the forest is complete only if every remaining
 	// component's cut is certified empty.
 	for _, root := range p.live() {
-		if _, ok, empty := cut(rounds-1, p.members[root]); ok || !empty {
+		if _, ok, empty := cut(rounds-1, p.members(root)); ok || !empty {
 			return nil, rounds, ErrDecodeFailed
 		}
 	}
@@ -57,30 +60,51 @@ type peeler struct {
 	dsu    *graphalg.DSU
 	// done[root] marks components whose cut was certified empty.
 	done []bool
-	// members[root] lists a live component's vertices, ascending; roots
-	// lists the live roots, ascending. live refills both.
-	members [][]int
-	roots   []int
+	// roots lists the live roots, ascending; members(root) lists a live
+	// component's vertices, ascending, as flat[start[root]:end[root]].
+	// rootOf[v] is v's root, or -1 when v's component is done. live
+	// refills them all.
+	roots              []int
+	rootOf, start, end []int
+	flat               []int
 }
 
-// live refreshes and returns the roots of the components not yet done.
+// live refreshes and returns the roots of the components not yet done. It
+// lays every live component's members out in one flat slice, a counting
+// sort of the vertices by root.
 func (p *peeler) live() []int {
 	p.roots = p.roots[:0]
-	for v := range p.members {
-		p.members[v] = p.members[v][:0]
-	}
-	for v := range p.members {
+	clear(p.end)
+	for v := range p.rootOf {
 		r := p.dsu.Find(v)
 		if p.done[r] {
+			p.rootOf[v] = -1
 			continue
 		}
 		if r == v {
 			p.roots = append(p.roots, v)
 		}
-		p.members[r] = append(p.members[r], v)
+		p.rootOf[v] = r
+		p.end[r]++ // size for now; the placement below turns it into an end
+	}
+	pos := 0
+	for _, r := range p.roots {
+		p.start[r] = pos
+		pos += p.end[r]
+		p.end[r] = p.start[r]
+	}
+	for v, r := range p.rootOf {
+		if r >= 0 {
+			p.flat[p.end[r]] = v
+			p.end[r]++
+		}
 	}
 	return p.roots
 }
+
+// members returns the vertices of the live component rooted at root,
+// ascending, as live last laid them out.
+func (p *peeler) members(root int) []int { return p.flat[p.start[root]:p.end[root]] }
 
 // round runs Boruvka round t over the components live() last listed.
 func (p *peeler) round(parent *obs.Span, t int) {
@@ -88,7 +112,7 @@ func (p *peeler) round(parent *obs.Span, t int) {
 	defer rsp.End()
 	var merges []graph.Hyperedge
 	for _, root := range p.roots {
-		key, ok, empty := p.cut(t, p.members[root])
+		key, ok, empty := p.cut(t, p.members(root))
 		if !ok {
 			p.done[root] = empty
 			continue

@@ -455,12 +455,8 @@ func BenchmarkSpanningUpdate(b *testing.B) {
 }
 
 func BenchmarkSpanningDecode(b *testing.B) {
-	rng := rand.New(rand.NewPCG(2, 2))
-	h := randomGraph(rng, 64, 256)
-	s := NewSpanning(1, h.Domain(), SpanningConfig{})
-	if err := s.UpdateGraph(h, 1); err != nil {
-		b.Fatal(err)
-	}
+	s := spanningDecodeFixture(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.SpanningGraph(); err != nil {

@@ -224,9 +224,9 @@ func (s *SpanningSketch) Clone() *SpanningSketch {
 // SpanningGraph decodes a spanning graph of the sketched hypergraph: a
 // subgraph with the same connected components, at most n−1 hyperedges. The
 // decoding is Peel, the Boruvka process of Ahn et al.: in each round, every
-// current component samples one hyperedge leaving it (by summing its
-// members' samplers for that round) and components merge along the sampled
-// edges.
+// current component samples one hyperedge leaving it (from the sum of its
+// members' samplers for that round, drawn by l0.Sampler.SampleSum without
+// materialising the sum) and components merge along the sampled edges.
 //
 // It returns ErrDecodeFailed if the rounds are exhausted while some
 // component both fails to produce a sample and cannot be certified as
@@ -243,7 +243,20 @@ func (s *SpanningSketch) SpanningGraphTraced(parent *obs.Span) (*graph.Hypergrap
 	sp := parent.Child("sketch.spanning_graph", skm.spanSpan)
 	defer sp.End()
 	n := s.dom.N()
-	forest, rounds, err := Peel(sp, s.dom, s.cfg.Rounds, s.cut)
+	// The cut query sums each component's round-t samplers lazily into
+	// one scratch sampler per decode, so concurrent decodes of one sketch
+	// share nothing mutable.
+	var sum l0.Sampler
+	parts := make([]*l0.Sampler, 0, n)
+	cut := func(t int, members []int) (uint64, bool, bool) {
+		parts = parts[:0]
+		for _, v := range members {
+			parts = append(parts, s.samplers[t][v])
+		}
+		key, _, ok, empty := sum.SampleSum(parts)
+		return key, ok, empty
+	}
+	forest, rounds, err := Peel(sp, s.dom, s.cfg.Rounds, cut)
 	if err != nil {
 		skm.failures.Inc()
 		obs.RecordEvent("sketch.decode_failure",
@@ -253,22 +266,6 @@ func (s *SpanningSketch) SpanningGraphTraced(parent *obs.Span) (*graph.Hypergrap
 	skm.peelRounds.Observe(float64(rounds))
 	sp.SetAttrs("n", n, "rounds", rounds)
 	return forest, nil
-}
-
-// cut is the pure sketch's Peel cut query: it sums the members' round-t
-// samplers into a sampler of the component's cut vector and draws from it.
-func (s *SpanningSketch) cut(t int, members []int) (key uint64, ok, empty bool) {
-	sum := s.samplers[t][members[0]].Clone()
-	for _, v := range members[1:] {
-		// Same round => same seed: AddScaled cannot fail.
-		if err := sum.AddScaled(s.samplers[t][v], 1); err != nil {
-			panic(err)
-		}
-	}
-	if key, _, ok = sum.Sample(); ok {
-		return key, true, false
-	}
-	return 0, false, sum.IsZero()
 }
 
 // Connected decodes the sketch and reports whether the hypergraph is
@@ -298,9 +295,9 @@ func (s *SpanningSketch) Domain() graph.Domain { return s.dom }
 func (s *SpanningSketch) Rounds() int { return s.cfg.Rounds }
 
 // SamplerAt returns vertex v's round-t L0 sampler. The adaptive hybrid
-// store (internal/hybrid) sums spilled members' samplers through this during
-// its mixed exact/sketch Boruvka decode. The sampler is the sketch's live
-// state: callers must Clone before mutating.
+// store (internal/hybrid) draws from the sum of spilled members' samplers
+// through this during its mixed exact/sketch Boruvka decode. The sampler is
+// the sketch's live state: callers must not mutate it.
 func (s *SpanningSketch) SamplerAt(t, v int) *l0.Sampler { return s.samplers[t][v] }
 
 // Config returns the (defaulted) configuration.
