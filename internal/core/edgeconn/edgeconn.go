@@ -110,7 +110,7 @@ func (s *Sketch) SkeletonTraced(parent *obs.Span) (*graph.Hypergraph, error) {
 	if s.decoded == nil {
 		sp := parent.Child("edgeconn.skeleton", em.skelSpan)
 		defer sp.End("k", s.skeleton.K())
-		skel, err := s.skeleton.SkeletonTraced(sp)
+		skel, err := s.skeleton.SkeletonWith(sp, nil)
 		if err != nil {
 			return nil, err
 		}

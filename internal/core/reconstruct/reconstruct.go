@@ -137,33 +137,32 @@ var _ graphsketch.Sharded = (*Sketch)(nil)
 // them, and repeats; at most n rounds are needed since every nonempty E_i
 // splits off components.
 func (s *Sketch) LightEdges() (*graph.Hypergraph, error) {
-	return s.LightEdgesMinus(nil)
+	return s.LightEdgesMinus(nil, nil)
 }
 
 // LightEdgesMinus recovers light_k(G − sub) for a known unit-weight
-// subgraph sub, peeled from the sketch by linearity. The sparsifier uses
-// this to compute F_i = light_k(G_i − F_0 − … − F_{i−1}) from the level-i
-// sketch. A nil sub means light_k(G).
-func (s *Sketch) LightEdgesMinus(sub *graph.Hypergraph) (*graph.Hypergraph, error) {
-	return s.LightEdgesMinusTraced(nil, sub)
-}
-
-// LightEdgesMinusTraced is LightEdgesMinus with the peel trace hung under
-// parent (nil starts a fresh trace): each round's skeleton decode becomes
-// a child subtree of the light_edges span.
-func (s *Sketch) LightEdgesMinusTraced(parent *obs.Span, sub *graph.Hypergraph) (*graph.Hypergraph, error) {
+// subgraph sub (nil for none), peeled from the sketch by linearity: every
+// round's skeleton decode subtracts sub and the light edges found so far
+// as exact rows, leaving the sketch untouched. The sparsifier uses this to
+// compute F_i = light_k(G_i − F_0 − … − F_{i−1}) from the level-i sketch.
+// The peel trace hangs under parent (nil starts a fresh trace): each
+// round's skeleton decode becomes a child subtree of the light_edges span.
+func (s *Sketch) LightEdgesMinus(parent *obs.Span, sub *graph.Hypergraph) (*graph.Hypergraph, error) {
 	sp := parent.Child("reconstruct.light_edges", rm.lightSpan)
 	defer sp.End("k", s.k)
 	dom := s.skeleton.Domain()
 	light := graph.MustHypergraph(dom.N(), dom.R())
-	work := s.skeleton.Clone()
+	// minus is sub ∪ light, with weights summed.
+	minus := graph.MustHypergraph(dom.N(), dom.R())
 	if sub != nil {
-		if err := work.UpdateGraph(sub, -1); err != nil {
-			return nil, err
+		for _, we := range sub.WeightedEdges() {
+			if err := minus.AddEdge(we.E, we.W); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for round := 0; round < dom.N(); round++ {
-		skel, err := work.SkeletonTraced(sp)
+		skel, err := s.SkeletonMinus(sp, minus)
 		if err != nil {
 			return nil, fmt.Errorf("reconstruct: round %d: %w", round, err)
 		}
@@ -173,13 +172,9 @@ func (s *Sketch) LightEdgesMinusTraced(parent *obs.Span, sub *graph.Hypergraph) 
 			sp.SetAttrs("rounds", round)
 			return light, nil
 		}
-		peeled := graph.MustHypergraph(dom.N(), dom.R())
 		for _, e := range weak {
-			peeled.MustAddEdge(e, 1)
 			light.MustAddEdge(e, 1)
-		}
-		if err := work.UpdateGraph(peeled, -1); err != nil {
-			return nil, err
+			minus.MustAddEdge(e, 1)
 		}
 	}
 	return light, nil
@@ -196,11 +191,7 @@ func (s *Sketch) Reconstruct() (*graph.Hypergraph, error) {
 	}
 	// Residual check: after peeling light_k, a skeleton of the remainder
 	// must be empty iff the reconstruction is complete.
-	work := s.skeleton.Clone()
-	if err := work.UpdateGraph(light, -1); err != nil {
-		return nil, err
-	}
-	rest, err := work.Skeleton()
+	rest, err := s.SkeletonMinus(nil, light)
 	if err != nil {
 		return nil, err
 	}
@@ -210,23 +201,16 @@ func (s *Sketch) Reconstruct() (*graph.Hypergraph, error) {
 	return light, nil
 }
 
-// SkeletonMinus decodes a (k+1)-skeleton of G − sub for a known
-// unit-weight subgraph sub. The sparsifier's residual check uses this to
-// certify that nothing remains beyond the deepest level.
-func (s *Sketch) SkeletonMinus(sub *graph.Hypergraph) (*graph.Hypergraph, error) {
-	return s.SkeletonMinusTraced(nil, sub)
-}
-
-// SkeletonMinusTraced is SkeletonMinus with the decode trace hung under
-// parent (nil starts a fresh trace).
-func (s *Sketch) SkeletonMinusTraced(parent *obs.Span, sub *graph.Hypergraph) (*graph.Hypergraph, error) {
-	work := s.skeleton.Clone()
-	if sub != nil {
-		if err := work.UpdateGraph(sub, -1); err != nil {
-			return nil, err
-		}
+// SkeletonMinus decodes a (k+1)-skeleton of G − sub for a known subgraph
+// sub (nil for none), subtracted as exact rows, with the decode trace hung
+// under parent (nil starts a fresh trace). The sparsifier's residual check
+// uses this to certify that nothing remains beyond the deepest level.
+func (s *Sketch) SkeletonMinus(parent *obs.Span, sub *graph.Hypergraph) (*graph.Hypergraph, error) {
+	rows, err := sketch.GraphRows(s.skeleton.Domain(), sub, -1)
+	if err != nil {
+		return nil, err
 	}
-	return work.SkeletonTraced(parent)
+	return s.skeleton.SkeletonWith(parent, rows)
 }
 
 // K returns the degeneracy parameter.

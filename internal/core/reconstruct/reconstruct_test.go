@@ -265,3 +265,119 @@ func mustNew(tb testing.TB, seed uint64, dom graph.Domain, k int) *Sketch {
 	}
 	return s
 }
+
+// referenceLightEdges runs the light-edge peel the way it ran before the
+// skeleton decode took exact rows: copy the sketch, subtract sub and each
+// round's weak edges from the copy with UpdateGraph, and decode the copy
+// with no correction. rest is the copy's residual skeleton afterwards.
+func referenceLightEdges(t *testing.T, s *Sketch, sub *graph.Hypergraph) (light, rest *graph.Hypergraph, err error) {
+	t.Helper()
+	work, err := New(s.p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := work.AddScaled(s, 1); err != nil {
+		t.Fatal(err)
+	}
+	if sub != nil {
+		if err := work.UpdateGraph(sub, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dom := s.skeleton.Domain()
+	light = graph.MustHypergraph(dom.N(), dom.R())
+	for round := 0; round < dom.N(); round++ {
+		skel, err := work.skeleton.Skeleton()
+		if err != nil {
+			return nil, nil, err
+		}
+		weak := graphalg.WeakEdges(skel, int64(s.k))
+		if len(weak) == 0 {
+			break
+		}
+		peeled := graph.MustHypergraph(dom.N(), dom.R())
+		for _, e := range weak {
+			peeled.MustAddEdge(e, 1)
+			light.MustAddEdge(e, 1)
+		}
+		if err := work.UpdateGraph(peeled, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rest, err = work.skeleton.Skeleton()
+	return light, rest, err
+}
+
+// TestLightEdgesMatchReferencePeel pins the exact-row subtraction against
+// the copy-and-subtract route on fixed seeds: LightEdgesMinus, Reconstruct
+// and SkeletonMinus must return the reference's graphs edge for edge, on
+// churned graphs and hypergraphs, with and without a subtracted subgraph.
+func TestLightEdgesMatchReferencePeel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 7))
+	complete, incomplete := 0, 0
+	for trial := 0; trial < 6; trial++ {
+		r := 2 + trial%2
+		const n = 14
+		h := workload.UniformHypergraph(rng, n, r, 3*n)
+		s, err := New(Params{N: n, R: r, K: 1 + trial%3, Seed: rng.Uint64()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := graph.MustHypergraph(n, r)
+		for i, e := range h.Edges() {
+			if err := s.Update(e, 1); err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case i%5 == 2: // churn: inserted, then deleted
+				if err := s.Update(e, -1); err != nil {
+					t.Fatal(err)
+				}
+			case i%4 == 0:
+				sub.MustAddEdge(e, 1)
+			}
+		}
+		for _, m := range []*graph.Hypergraph{nil, sub} {
+			wantLight, wantRest, wantErr := referenceLightEdges(t, s, m)
+			gotLight, gotErr := s.LightEdgesMinus(nil, m)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("trial %d: LightEdgesMinus error %v, reference %v", trial, gotErr, wantErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if !gotLight.Equal(wantLight) {
+				t.Fatalf("trial %d: light edges differ from the reference peel's", trial)
+			}
+			minus := gotLight.Clone()
+			if m != nil {
+				for _, e := range m.Edges() {
+					minus.MustAddEdge(e, 1)
+				}
+			}
+			gotRest, err := s.SkeletonMinus(nil, minus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !gotRest.Equal(wantRest) {
+				t.Fatalf("trial %d: residual skeleton differs from the reference's", trial)
+			}
+			if wantRest.EdgeCount() == 0 {
+				complete++
+			} else {
+				incomplete++
+			}
+			if m != nil {
+				continue
+			}
+			got, err := s.Reconstruct()
+			if !got.Equal(wantLight) || errors.Is(err, ErrIncomplete) != (wantRest.EdgeCount() != 0) {
+				t.Fatalf("trial %d: Reconstruct = (%d edges, %v), reference (%d edges, %d residual)",
+					trial, got.EdgeCount(), err, wantLight.EdgeCount(), wantRest.EdgeCount())
+			}
+		}
+	}
+	if complete == 0 || incomplete == 0 {
+		t.Fatalf("want empty and nonempty residuals covered; got %d and %d", complete, incomplete)
+	}
+}

@@ -166,7 +166,7 @@ func (s *Sketch) SparsifierTraced(parent *obs.Span) (*graph.Hypergraph, error) {
 				sub.MustAddEdge(e, 1)
 			}
 		}
-		fi, err := work.LightEdgesMinusTraced(sp, sub)
+		fi, err := work.LightEdgesMinus(sp, sub)
 		if err != nil {
 			return nil, fmt.Errorf("sparsify: level %d: %w", i, err)
 		}
@@ -191,7 +191,7 @@ func (s *Sketch) SparsifierTraced(parent *obs.Span) (*graph.Hypergraph, error) {
 			sub.MustAddEdge(e, 1)
 		}
 	}
-	rest, err := s.levels[s.p.Levels].SkeletonMinusTraced(sp, sub)
+	rest, err := s.levels[s.p.Levels].SkeletonMinus(sp, sub)
 	if err != nil {
 		return nil, err
 	}

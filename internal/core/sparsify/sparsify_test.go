@@ -1,10 +1,13 @@
 package sparsify
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 
+	"graphsketch/internal/core/reconstruct"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
 	"graphsketch/internal/stream"
@@ -358,5 +361,120 @@ func TestCutOracle(t *testing.T) {
 	lo, hi := float64(trueMin)*0.4, float64(trueMin)*1.8
 	if float64(gotMin) < lo || float64(gotMin) > hi {
 		t.Fatalf("approx min cut %d outside [%.0f, %.0f] of true %d", gotMin, lo, hi, trueMin)
+	}
+}
+
+// referenceSparsifier runs Sparsifier's level peel with every subtraction
+// done the way it was before the skeleton decode took exact rows: on a
+// fresh copy of the sketch (New, then Merge), by UpdateGraph, decoding the
+// copy with no correction.
+func referenceSparsifier(t *testing.T, s *Sketch) (*graph.Hypergraph, error) {
+	t.Helper()
+	// level returns a copy of level i minus the extracted edges living in G_i.
+	level := func(i int, cum *graph.Hypergraph) *reconstruct.Sketch {
+		c, err := New(s.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Merge(s); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range cum.Edges() {
+			lv, err := s.EdgeLevel(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lv >= i {
+				if err := c.levels[i].Update(e, -1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return c.levels[i]
+	}
+	out := graph.MustHypergraph(s.p.N, s.p.R)
+	cum := graph.MustHypergraph(s.p.N, s.p.R)
+	for i := 0; i <= s.p.Levels; i++ {
+		work := level(i, cum)
+		fi := graph.MustHypergraph(s.p.N, s.p.R)
+		for round := 0; round < s.p.N; round++ {
+			skel, err := work.SkeletonMinus(nil, nil)
+			if err != nil {
+				return nil, fmt.Errorf("sparsify: level %d: reconstruct: round %d: %w", i, round, err)
+			}
+			weak := graphalg.WeakEdges(skel, int64(work.K()))
+			if len(weak) == 0 {
+				break
+			}
+			peeled := graph.MustHypergraph(s.p.N, s.p.R)
+			for _, e := range weak {
+				peeled.MustAddEdge(e, 1)
+				fi.MustAddEdge(e, 1)
+			}
+			if err := work.UpdateGraph(peeled, -1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fi.EdgeCount() == 0 && i == s.p.Levels {
+			break
+		}
+		for _, e := range fi.Edges() {
+			out.MustAddEdge(e, int64(1)<<uint(i))
+			cum.MustAddEdge(e, 1)
+		}
+	}
+	rest, err := level(s.p.Levels, cum).SkeletonMinus(nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	if rest.EdgeCount() != 0 {
+		return out, ErrResidual
+	}
+	return out, nil
+}
+
+// TestSparsifierMatchesReferencePeel pins the sparsifier's exact-row level
+// subtraction against the copy-and-subtract route on fixed seeds: the
+// sparsifiers must be equal edge for edge and the errors must agree.
+func TestSparsifierMatchesReferencePeel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(40, 41))
+	residuals := 0
+	for trial, p := range []Params{
+		{N: 12, K: 4, Seed: 17},
+		{N: 16, K: 2, Seed: 18},
+		{N: 12, R: 3, K: 3, Seed: 19},
+		{N: 14, K: 3, Levels: 2, Seed: 20},
+		{N: 14, K: 1, Levels: 1, Seed: 21}, // too shallow: ErrResidual
+	} {
+		s, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := max(p.R, 2)
+		h := workload.UniformHypergraph(rng, p.N, r, 4*p.N)
+		for i, e := range h.Edges() {
+			if err := s.Update(e, 1); err != nil {
+				t.Fatal(err)
+			}
+			if i%6 == 5 { // churn: inserted, then deleted
+				if err := s.Update(e, -1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want, wantErr := referenceSparsifier(t, s)
+		got, gotErr := s.Sparsifier()
+		if !errors.Is(gotErr, wantErr) && (gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("trial %d: Sparsifier error %v, reference %v", trial, gotErr, wantErr)
+		}
+		if (want == nil) != (got == nil) || want != nil && !got.Equal(want) {
+			t.Fatalf("trial %d: sparsifier differs from the reference peel's", trial)
+		}
+		if errors.Is(gotErr, ErrResidual) {
+			residuals++
+		}
+	}
+	if residuals != 1 {
+		t.Fatalf("%d trials ended in ErrResidual; want exactly the shallow one", residuals)
 	}
 }

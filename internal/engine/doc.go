@@ -29,5 +29,5 @@
 // cancellation): the R subgraph forests of vertexconn.BuildH. A k-skeleton
 // is not fanned out: Theorem 14's peel is sequential (layer i spans
 // G − F_1 − … − F_{i−1}), so it decodes through
-// sketch.SkeletonSketch.SkeletonTraced alone.
+// sketch.SkeletonSketch.SkeletonWith alone.
 package engine

@@ -5,38 +5,36 @@ import (
 
 	"graphsketch/internal/graph"
 	"graphsketch/internal/graphalg"
-	"graphsketch/internal/l0"
 	"graphsketch/internal/obs"
 	"graphsketch/internal/sketch"
 )
 
-// This file decodes a hybrid-wrapped spanning sketch without first spilling
-// everything: components made only of unspilled vertices never touch a
-// sampler. The machinery rests on the same identity the pure sketch uses —
-// for a vertex set S, Σ_{v∈S} a_v is supported exactly on δ(S) — except
-// that an unspilled member's a_v is available literally: its buffer holds
-// every (edge, net weight) pair, so its incidence coefficients
-// (|e|−1 at the min endpoint, −1 elsewhere) can be summed exactly. A
-// component therefore accumulates the exact part of its cut vector in a
-// map, and only if some member is spilled does it draw from a sampler sum:
-// the spilled members' samplers plus a scratch sampler holding the exact
-// part, injected by linearity (Sampler.Update is the same linear map the
-// stream would have applied).
+// This file decodes a hybrid-wrapped sketch without spilling anything:
+// components made only of unspilled vertices never touch a sampler. The
+// machinery rests on the same identity the pure sketch uses — for a vertex
+// set S, Σ_{v∈S} a_v is supported exactly on δ(S) — except that an
+// unspilled member's a_v is available literally: its buffer holds every
+// (edge, net weight) pair, which is exactly an exact row in sketch.NewCut's
+// sense. The one Borůvka cut sums those rows with the incidence
+// coefficients and injects what is left into a scratch sampler beside the
+// members' samplers, by linearity.
 
 // Decode decodes whatever certificate the inner sketch type supports, with
-// the decode spans hung under parent (nil starts a fresh trace).
+// the decode spans hung under parent (nil starts a fresh trace). It only
+// reads the hybrid: buffers, spill flags and inner stay as they were.
 //
 // For a spanning inner it returns a spanning graph: a subgraph with the
 // same connected components, at most n−1 hyperedges. If no vertex is
 // spilled the decode is fully exact — deterministic, no sampler draws, and
-// it cannot fail. Otherwise it runs sketch.Peel with per-component cut
-// samplers assembled from buffers and spilled samplers, returning
+// it cannot fail. Otherwise it runs sketch.Peel over sketch.NewCut with the
+// spilled members' samplers and the unspilled members' buffers, returning
 // sketch.ErrDecodeFailed if the rounds are exhausted before every component
 // is resolved or certified.
 //
-// For a skeleton inner it runs the unchanged Theorem 14 peeling on a clone
-// with every buffer spilled first (the spill invariant makes the clone's
-// inner byte-identical to a pure skeleton of the stream).
+// For a skeleton inner it runs Theorem 14's peeling with the buffers as
+// exact rows beside every member's layer samplers (an unspilled vertex's
+// share of them is zero), so the forests are those of a pure skeleton of
+// the stream.
 func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 	switch inner := s.inner.(type) {
 	case *sketch.SpanningSketch:
@@ -48,17 +46,14 @@ func (s *Sketch) Decode(parent *obs.Span) (*graph.Hypergraph, error) {
 		hm.mixedDecodes.Inc()
 		return s.mixedSpanning(parent, inner)
 	case *sketch.SkeletonSketch:
-		cp, err := s.Clone()
-		if err != nil {
-			return nil, err
-		}
-		if err := cp.SpillAll(); err != nil {
-			return nil, err
-		}
-		return cp.inner.(*sketch.SkeletonSketch).SkeletonTraced(parent)
+		return inner.SkeletonWith(parent, s.buffer)
 	}
 	return nil, fmt.Errorf("hybrid: no decoder for inner type %T", s.inner)
 }
+
+// buffer is the hybrid's exact rows: v's buffered keys and net weights
+// (empty once v is spilled).
+func (s *Sketch) buffer(v int) ([]uint64, []int64) { return s.keys[v], s.ws[v] }
 
 // exactSpanning builds a spanning forest directly from the buffers: every
 // present edge appears in each endpoint's buffer with its net weight, so
@@ -96,13 +91,18 @@ func (s *Sketch) exactSpanning(parent *obs.Span) (*graph.Hypergraph, error) {
 }
 
 // mixedSpanning is the Boruvka decode over mixed exact/spilled components:
-// sketch.Peel with a mixedCut supplying each component's cut edge.
+// sketch.Peel over sketch.NewCut, summing the spilled members' samplers and
+// the unspilled members' buffers.
 func (s *Sketch) mixedSpanning(parent *obs.Span, sp *sketch.SpanningSketch) (*graph.Hypergraph, error) {
 	span := parent.Child("hybrid.spanning_graph", hm.decodeSpan)
 	defer span.End()
 	n := s.dom.N()
-	c := &mixedCut{s: s, sp: sp, acc: make(map[uint64]int64)}
-	forest, rounds, err := sketch.Peel(span, s.dom, sp.Rounds(), c.sampleCut)
+	draw := sketch.NewCut(sp, s.Spilled, s.buffer)
+	cut := func(t int, members []int) (uint64, bool, bool) {
+		s.countComponent(members)
+		return draw(t, members)
+	}
+	forest, rounds, err := sketch.Peel(span, s.dom, sp.Rounds(), cut)
 	if err != nil {
 		obs.RecordEvent("sketch.decode_failure",
 			"structure", "hybrid", "n", n, "rounds", rounds,
@@ -113,87 +113,16 @@ func (s *Sketch) mixedSpanning(parent *obs.Span, sp *sketch.SpanningSketch) (*gr
 	return forest, nil
 }
 
-// mixedCut is one mixed decode's cut query and its scratch, reused across
-// every component and round of the decode.
-type mixedCut struct {
-	s  *Sketch
-	sp *sketch.SpanningSketch
-	// acc accumulates a component's exact cut part: edge key → net
-	// coefficient-weighted sum over its unspilled members.
-	acc map[uint64]int64
-	// exact holds acc as a sampler; sum is SampleSum's scratch; parts
-	// lists the samplers summed for one component.
-	exact, sum l0.Sampler
-	parts      []*l0.Sampler
-}
-
-// sampleCut draws one edge from the cut of the component given by members,
-// using round t's samplers for spilled members and the exact buffers for
-// the rest. It returns the edge key and ok=true on success; otherwise
-// empty=true iff the cut is certified empty (exactly, for an all-exact
-// component; by the zero-sampler certificate when spilled members are
-// involved).
-func (c *mixedCut) sampleCut(t int, members []int) (key uint64, ok, empty bool) {
-	s := c.s
-	// Exact part of the cut vector: Σ over unspilled members v of
-	// coeff_e(v)·w for every buffered edge. Edges fully inside the exact
-	// part of the component cancel here (their coefficients sum to zero);
-	// edges shared with spilled members cancel later, inside the sampler.
-	acc := c.acc
-	clear(acc)
-	c.parts = c.parts[:0]
+// countComponent counts a mixed-decode cut query as exact (no member
+// spilled, so the buffers answer it) or mixed (it draws from samplers).
+func (s *Sketch) countComponent(members []int) {
 	for _, v := range members {
 		if s.spilled[v] {
-			c.parts = append(c.parts, c.sp.SamplerAt(t, v))
-			continue
-		}
-		for i, k := range s.keys[v] {
-			e, err := s.dom.Decode(k)
-			if err != nil {
-				return 0, false, false
-			}
-			coeff := int64(-1)
-			if e[0] == v {
-				coeff = int64(len(e)) - 1
-			}
-			acc[k] += coeff * s.ws[v][i]
+			hm.mixedComponents.Inc()
+			return
 		}
 	}
-	if len(c.parts) == 0 {
-		hm.exactComponents.Inc()
-		// The accumulator is the whole cut vector: pick its smallest
-		// nonzero key, deterministically — no sampler draw.
-		best, found := uint64(0), false
-		for k, net := range acc {
-			if net != 0 && (!found || k < best) {
-				best, found = k, true
-			}
-		}
-		if !found {
-			return 0, false, true
-		}
-		return best, true, false
-	}
-	hm.mixedComponents.Inc()
-	// Inject the exact part: Sampler.Update is the same linear map the
-	// stream applies, so the spilled samplers plus exact sketch the
-	// component's full cut vector, exact cancellations included.
-	injected := false
-	for k, net := range acc {
-		if net == 0 {
-			continue
-		}
-		if !injected {
-			c.exact.Reset(c.parts[0])
-			injected = true
-		}
-		c.exact.Update(k, net)
-	}
-	if injected {
-		c.parts = append(c.parts, &c.exact)
-	}
-	key, _, ok, empty = c.sum.SampleSum(c.parts)
-	return key, ok, empty
+	hm.exactComponents.Inc()
 }
 
 // observeOccupancy records the buffer-occupancy distribution and spill

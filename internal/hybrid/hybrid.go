@@ -16,9 +16,10 @@
 // semantic no-op: it moves mass from the exact term to the sketched term
 // without changing their sum. That is the spill invariant every operation
 // here preserves, and it is why Merge, checkpoint restore (linear
-// AddState), skeleton peeling, and the engine's sharded ingestion all keep
-// working unchanged on the spilled part (the properties Theorems 2/13 of
-// the source paper need). SpillAll makes the invariant testable: after
+// AddState), and the engine's sharded ingestion all keep working unchanged
+// on the spilled part (the properties Theorems 2/13 of the source paper
+// need), and why a decode may add the buffers to the inner's samplers as
+// exact rows. SpillAll makes the invariant testable: after
 // spilling every vertex the inner sketch holds the same linear state as a
 // pure sketch fed the same stream — byte-identical on insert-only streams.
 // On streams with deletions the two serializations can differ without the
@@ -43,16 +44,13 @@
 package hybrid
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 
 	"graphsketch"
-	"graphsketch/internal/codec"
 	"graphsketch/internal/graph"
 	"graphsketch/internal/obs"
-	"graphsketch/internal/sketch"
 )
 
 // DefaultBudgetWords is the per-vertex exact-buffer budget used when the
@@ -140,7 +138,7 @@ func New(inner Inner, budget int) (*Sketch, error) {
 }
 
 // Inner returns the wrapped sketch. Its state is only the spilled part of
-// the stream; decode through the hybrid's own methods (or SpillAll first).
+// the stream; decode through the hybrid's Decode, which adds the buffers.
 func (s *Sketch) Inner() Inner { return s.inner }
 
 // Domain returns the hyperedge key domain.
@@ -344,9 +342,8 @@ func (s *Sketch) replayExact(v int, ks []uint64, vs []int64) error {
 
 // SpillAll spills every still-exact vertex. Afterwards the inner sketch
 // holds the whole stream: its state is byte-identical (State equality) to
-// a pure sketch fed the same updates, which is how decode paths without a
-// mixed-mode implementation (skeleton peeling) reuse the inner machinery
-// unchanged, and how the property tests pin the spill invariant.
+// a pure sketch fed the same updates on insert-only streams. No decode
+// needs it; it is how the property tests pin the spill invariant.
 func (s *Sketch) SpillAll() error {
 	for v := range s.spilled {
 		if !s.spilled[v] {
@@ -423,55 +420,6 @@ func (s *Sketch) addExact(v int, ks []uint64, vs []int64) error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy (buffers, spill flags, and inner sketch).
-func (s *Sketch) Clone() (*Sketch, error) {
-	in, err := cloneInner(s.inner)
-	if err != nil {
-		return nil, err
-	}
-	cp := &Sketch{
-		inner:      in,
-		dom:        s.dom,
-		budget:     s.budget,
-		maxEntries: s.maxEntries,
-		spilled:    append([]bool(nil), s.spilled...),
-		keys:       make([][]uint64, len(s.keys)),
-		ws:         make([][]int64, len(s.ws)),
-	}
-	for v := range s.keys {
-		if len(s.keys[v]) > 0 {
-			cp.keys[v] = append([]uint64(nil), s.keys[v]...)
-			cp.ws[v] = append([]int64(nil), s.ws[v]...)
-		}
-	}
-	return cp, nil
-}
-
-// cloneInner deep-copies a wrapped sketch: the known concrete types have
-// native Clone methods; anything else round-trips through its own
-// checkpoint frame, which is exact by construction.
-func cloneInner(in Inner) (Inner, error) {
-	switch t := in.(type) {
-	case *sketch.SpanningSketch:
-		return t.Clone(), nil
-	case *sketch.SkeletonSketch:
-		return t.Clone(), nil
-	}
-	var buf bytes.Buffer
-	if _, err := in.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	o, err := codec.Open(&buf)
-	if err != nil {
-		return nil, err
-	}
-	c, ok := o.(Inner)
-	if !ok {
-		return nil, fmt.Errorf("hybrid: cloned inner reopened as %T, which cannot back a hybrid sketch", o)
-	}
-	return c, nil
 }
 
 // Words returns the memory footprint in 64-bit words: the inner sketch plus

@@ -159,38 +159,29 @@ func TestHybridMatchesPure(t *testing.T) {
 				t.Fatal("hub stream spilled nothing; the mixed path went untested")
 			}
 
-			cp, err := hy.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cp.SpillAll(); err != nil {
+			// The unspilled decodes are checked: spill the original.
+			if err := hy.SpillAll(); err != nil {
 				t.Fatal(err)
 			}
 			if !tc.churn {
-				if !bytes.Equal(cp.Inner().State(), pure.State()) {
+				if !bytes.Equal(hy.Inner().State(), pure.State()) {
 					t.Fatal("SpillAll inner state differs from the pure sketch fed the same stream")
 				}
-				// Equal state and one shared peel: the spilled clone's
+				// Equal state and one shared peel: the spilled hybrid's
 				// mixed decode is the pure decode, edge for edge.
-				cf, err := cp.Decode(nil)
+				cf, err := hy.Decode(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !cf.Equal(pf) {
-					t.Fatal("spilled-clone Decode differs from the pure SpanningGraph")
+					t.Fatal("spilled Decode differs from the pure SpanningGraph")
 				}
 			}
-			if f, err := cp.Inner().(*sketch.SpanningSketch).SpanningGraph(); err != nil {
+			if f, err := hy.Inner().(*sketch.SpanningSketch).SpanningGraph(); err != nil {
 				t.Fatal(err)
 			} else {
-				sameComponents(t, final, f, "spilled-clone decode")
+				sameComponents(t, final, f, "spilled inner decode")
 			}
-			// SpillAll on the clone must not have disturbed the original.
-			again, err := hy.Decode(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameComponents(t, final, again, "hybrid decode after clone spill")
 		})
 	}
 }
@@ -275,29 +266,25 @@ func TestHybridSpillThenDeleteBelowBudget(t *testing.T) {
 		t.Fatal("decode after delete-below-budget is wrong")
 	}
 	// The spilled state must still be linearly equal to pure: fully
-	// spilling a clone decodes the same (single-edge) graph. Byte equality
-	// cannot hold here — vertices 2..6 cancelled to empty buffers and never
+	// spilling decodes the same (single-edge) graph. Byte equality cannot
+	// hold here — vertices 2..6 cancelled to empty buffers and never
 	// touched the inner, while pure allocated (zero) sampler levels for them.
-	cp, err := hy.Clone()
-	if err != nil {
+	if err := hy.SpillAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.SpillAll(); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := cp.Inner().(*sketch.SpanningSketch).SpanningGraph()
+	fs, err := hy.Inner().(*sketch.SpanningSketch).SpanningGraph()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := graphalg.ComponentsOf(fs)
 	if !ds.Same(0, 1) || ds.Same(0, 2) {
-		t.Fatal("spilled clone decode diverged from pure after churn")
+		t.Fatal("spilled decode diverged from pure after churn")
 	}
 	pfs, err := pure.SpanningGraph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameComponents(t, fs, pfs, "pure vs spilled clone")
+	sameComponents(t, fs, pfs, "pure vs spilled")
 }
 
 // TestHybridMerge pins the mixed exact/spilled merge resolution on a
@@ -359,14 +346,10 @@ func TestHybridMergeBytes(t *testing.T) {
 	sameComponents(t, final, f, "merged decode")
 
 	for _, hy := range []*hybrid.Sketch{a, whole} {
-		cp, err := hy.Clone()
-		if err != nil {
+		if err := hy.SpillAll(); err != nil {
 			t.Fatal(err)
 		}
-		if err := cp.SpillAll(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(cp.Inner().State(), pure.State()) {
+		if !bytes.Equal(hy.Inner().State(), pure.State()) {
 			t.Fatal("merged inner state differs from the whole-stream sketch")
 		}
 	}
@@ -447,8 +430,11 @@ func TestHybridDecodeFailure(t *testing.T) {
 	}
 }
 
-// TestHybridSkeletonDecode covers the skeleton inner: the clone+SpillAll
-// path must reproduce the pure skeleton's certificate.
+// TestHybridSkeletonDecode covers the skeleton inner: the decode, with the
+// buffers entering the cut as exact rows, must reproduce the pure
+// skeleton's certificate edge for edge. Decoding only reads the hybrid:
+// its frame is byte-identical before and after, for a skeleton and for a
+// spanning inner, with both spilled and unspilled vertices present.
 func TestHybridSkeletonDecode(t *testing.T) {
 	const n, k, budget = 48, 2, 16
 	st, _ := sparseChurnStream(t, n, 2, 3, 17)
@@ -464,21 +450,27 @@ func TestHybridSkeletonDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apply(t, st, purei, hy)
+	_, hs := pair(t, n, 2, budget, 33)
+	apply(t, st, purei, hy, hs)
 	want, err := purei.Skeleton()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := hy.Decode(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(got) {
-		t.Fatal("hybrid skeleton differs from pure skeleton")
-	}
-	// The decode must not have consumed the hybrid itself.
-	if hy.SpilledCount() == len(make([]bool, n)) {
-		t.Fatal("decode spilled the original")
+	for _, h := range []*hybrid.Sketch{hy, hs} {
+		if c := h.SpilledCount(); c == 0 || c == n {
+			t.Fatalf("%d of %d vertices spilled; want a mix", c, n)
+		}
+		before := frameOf(t, h)
+		got, err := h.Decode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frameOf(t, h), before) {
+			t.Fatalf("Decode over a %T inner changed the hybrid's frame", h.Inner())
+		}
+		if h == hy && !want.Equal(got) {
+			t.Fatal("hybrid skeleton differs from pure skeleton")
+		}
 	}
 }
 

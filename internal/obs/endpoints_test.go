@@ -47,7 +47,7 @@ func TestTraceTreeDepth(t *testing.T) {
 	if err := eng.UpdateBatch(pathBatch(n)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sk.SkeletonTraced(nil); err != nil {
+	if _, err := sk.SkeletonWith(nil, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -42,7 +42,12 @@ func routeFor(s graphsketch.Sketch) (route, error) {
 	case *sketch.SpanningSketch:
 		return route{n: s.NumVertices(), decode: s.SpanningGraphTraced}, nil
 	case *sketch.SkeletonSketch:
-		return route{n: s.NumVertices(), decode: s.SkeletonTraced}, nil
+		return route{
+			n: s.NumVertices(),
+			decode: func(sp *obs.Span) (*graph.Hypergraph, error) {
+				return s.SkeletonWith(sp, nil)
+			},
+		}, nil
 	case *hybrid.Sketch:
 		return route{n: s.NumVertices(), decode: s.Decode}, nil
 	case *vertexconn.Sketch:

@@ -119,9 +119,7 @@ func (s *SkeletonSketch) UpdateBatchRange(batch []graph.WeightedEdge, lo, hi int
 }
 
 // UpdateGraph applies every weighted edge of h, scaled by scale, to every
-// layer. With scale = −1 this subtracts a known subgraph — the operation
-// that lets light_k reconstruction re-use one skeleton sketch across its
-// (deterministically defined) peeling rounds.
+// layer.
 func (s *SkeletonSketch) UpdateGraph(h *graph.Hypergraph, scale int64) error {
 	for _, l := range s.layers {
 		if err := l.UpdateGraph(h, scale); err != nil {
@@ -149,37 +147,34 @@ func (s *SkeletonSketch) AddScaled(o *SkeletonSketch, scale int64) error {
 	return nil
 }
 
-// Clone returns a deep copy.
-func (s *SkeletonSketch) Clone() *SkeletonSketch {
-	layers := make([]*SpanningSketch, len(s.layers))
-	for i := range layers {
-		layers[i] = s.layers[i].Clone()
-	}
-	return &SkeletonSketch{dom: s.dom, k: s.k, seed: s.seed, layers: layers}
-}
-
 // Skeleton decodes a k-skeleton of the sketched hypergraph: the union of
-// forests F_1 ∪ … ∪ F_k where F_i spans G − F_1 − … − F_{i−1}. Layer i's
-// sketch is peeled by linear subtraction of the already-decoded forests.
+// forests F_1 ∪ … ∪ F_k where F_i spans G − F_1 − … − F_{i−1}.
 func (s *SkeletonSketch) Skeleton() (*graph.Hypergraph, error) {
-	return s.SkeletonTraced(nil)
+	return s.SkeletonWith(nil, nil)
 }
 
-// SkeletonTraced is Skeleton with the decode span hung under parent; each
+// SkeletonWith decodes a k-skeleton of the sketched hypergraph plus the
+// exact rows (nil for none): GraphRows(dom, h, −1) decodes G − h, and the
+// adaptive hybrid passes its buffers. Layer i is peeled from
+// A^i(G) + exact − Σ_{j<i} A^i(F_j) by linearity, the earlier forests
+// entering the cut as exact rows too, so no layer is copied or written.
+// The decode span hangs under parent (nil starts a fresh trace), and each
 // layer peel gets its own child span, under which the layer's spanning
-// decode (and its per-round spans) nest. A nil parent starts a fresh
-// trace.
-func (s *SkeletonSketch) SkeletonTraced(parent *obs.Span) (*graph.Hypergraph, error) {
+// decode and its per-round spans nest.
+func (s *SkeletonSketch) SkeletonWith(parent *obs.Span, exact Rows) (*graph.Hypergraph, error) {
 	sp := parent.Child("sketch.skeleton", skm.skelSpan)
 	defer sp.End("k", s.k, "n", s.dom.N())
 	skeleton := graph.MustHypergraph(s.dom.N(), s.dom.R())
-	var forests []*graph.Hypergraph
 	for i, layer := range s.layers {
-		f, err := s.peelLayer(sp, i, layer, forests)
+		// skeleton holds F_1 ∪ … ∪ F_{i−1}, which layer i's cut subtracts.
+		peeled, err := GraphRows(s.dom, skeleton, -1)
+		if err != nil {
+			return nil, err
+		}
+		f, err := peelLayer(sp, i, layer, exact, peeled)
 		if err != nil {
 			return nil, fmt.Errorf("sketch: skeleton layer %d: %w", i, err)
 		}
-		forests = append(forests, f)
 		for _, e := range f.Edges() {
 			// Forests are edge-disjoint by construction (each layer spans
 			// the graph minus all earlier forests).
@@ -189,19 +184,11 @@ func (s *SkeletonSketch) SkeletonTraced(parent *obs.Span) (*graph.Hypergraph, er
 	return skeleton, nil
 }
 
-// peelLayer decodes layer i of the skeleton: clone, subtract the already
-// decoded forests by linearity, and run the spanning decode, all under a
-// per-layer child span.
-func (s *SkeletonSketch) peelLayer(parent *obs.Span, i int, layer *SpanningSketch, forests []*graph.Hypergraph) (*graph.Hypergraph, error) {
+// peelLayer decodes layer i of the skeleton under a per-layer child span.
+func peelLayer(parent *obs.Span, i int, layer *SpanningSketch, rows ...Rows) (*graph.Hypergraph, error) {
 	lsp := parent.Child("sketch.skeleton_layer", nil)
 	defer lsp.End("layer", i)
-	work := layer.Clone()
-	for _, f := range forests {
-		if err := work.UpdateGraph(f, -1); err != nil {
-			return nil, err
-		}
-	}
-	return work.SpanningGraphTraced(lsp)
+	return layer.spanningGraph(lsp, rows...)
 }
 
 // K returns the skeleton's connectivity parameter.

@@ -176,8 +176,7 @@ func (s *SpanningSketch) UpdateBatchRange(batch []graph.WeightedEdge, lo, hi int
 	return nil
 }
 
-// UpdateGraph applies every weighted edge of h, scaled by scale. With
-// scale = −1 this is the linear subtraction the skeleton peeling uses.
+// UpdateGraph applies every weighted edge of h, scaled by scale.
 func (s *SpanningSketch) UpdateGraph(h *graph.Hypergraph, scale int64) error {
 	for _, we := range h.WeightedEdges() {
 		if err := s.Update(we.E, we.W*scale); err != nil {
@@ -207,20 +206,6 @@ func (s *SpanningSketch) AddScaled(o *SpanningSketch, scale int64) error {
 	return nil
 }
 
-// Clone returns a deep copy.
-func (s *SpanningSketch) Clone() *SpanningSketch {
-	cp := &SpanningSketch{dom: s.dom, cfg: s.cfg, seed: s.seed}
-	cp.samplers = make([][]*l0.Sampler, len(s.samplers))
-	for t := range s.samplers {
-		row := make([]*l0.Sampler, len(s.samplers[t]))
-		for v := range row {
-			row[v] = s.samplers[t][v].Clone()
-		}
-		cp.samplers[t] = row
-	}
-	return cp
-}
-
 // SpanningGraph decodes a spanning graph of the sketched hypergraph: a
 // subgraph with the same connected components, at most n−1 hyperedges. The
 // decoding is Peel, the Boruvka process of Ahn et al.: in each round, every
@@ -240,23 +225,16 @@ func (s *SpanningSketch) SpanningGraph() (*graph.Hypergraph, error) {
 // workers) produce one causal trace tree. A nil parent starts a fresh
 // trace (exactly SpanningGraph).
 func (s *SpanningSketch) SpanningGraphTraced(parent *obs.Span) (*graph.Hypergraph, error) {
+	return s.spanningGraph(parent)
+}
+
+// spanningGraph decodes a spanning graph of the sketched hypergraph plus
+// the exact rows, by Peel over NewCut.
+func (s *SpanningSketch) spanningGraph(parent *obs.Span, rows ...Rows) (*graph.Hypergraph, error) {
 	sp := parent.Child("sketch.spanning_graph", skm.spanSpan)
 	defer sp.End()
 	n := s.dom.N()
-	// The cut query sums each component's round-t samplers lazily into
-	// one scratch sampler per decode, so concurrent decodes of one sketch
-	// share nothing mutable.
-	var sum l0.Sampler
-	parts := make([]*l0.Sampler, 0, n)
-	cut := func(t int, members []int) (uint64, bool, bool) {
-		parts = parts[:0]
-		for _, v := range members {
-			parts = append(parts, s.samplers[t][v])
-		}
-		key, _, ok, empty := sum.SampleSum(parts)
-		return key, ok, empty
-	}
-	forest, rounds, err := Peel(sp, s.dom, s.cfg.Rounds, cut)
+	forest, rounds, err := Peel(sp, s.dom, s.cfg.Rounds, NewCut(s, nil, rows...))
 	if err != nil {
 		skm.failures.Inc()
 		obs.RecordEvent("sketch.decode_failure",
@@ -293,12 +271,6 @@ func (s *SpanningSketch) Domain() graph.Domain { return s.dom }
 
 // Rounds returns the number of Boruvka rounds (independent sampler copies).
 func (s *SpanningSketch) Rounds() int { return s.cfg.Rounds }
-
-// SamplerAt returns vertex v's round-t L0 sampler. The adaptive hybrid
-// store (internal/hybrid) draws from the sum of spilled members' samplers
-// through this during its mixed exact/sketch Boruvka decode. The sampler is
-// the sketch's live state: callers must not mutate it.
-func (s *SpanningSketch) SamplerAt(t, v int) *l0.Sampler { return s.samplers[t][v] }
 
 // Config returns the (defaulted) configuration.
 func (s *SpanningSketch) Config() SpanningConfig { return s.cfg }
